@@ -155,6 +155,9 @@ def _sentence_tensor(lexicon, sentence: str, target: str, thick: bool,
             raise AmbiguousParse(
                 f"{len(witnesses)} parses; pick one with --parse-index")
         parse_index = 0
+    if not 0 <= parse_index < len(witnesses):
+        raise ValueError(f"--parse-index {parse_index} is out of range: "
+                         f"{len(witnesses)} parse(s), numbered from 0")
     witness = witnesses[parse_index]
     d = pregroup.grammar_diagram(words, witness, lexicon)
     model = lexicon.model(doubling="thick" if thick else "thin")

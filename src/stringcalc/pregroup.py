@@ -398,15 +398,14 @@ def _relpron_tensor(wtype: TypeList, bases: dict[str, int]) -> Tensor:
     """Delta on the noun legs, all-ones on every other leg."""
     noun = wtype[1].base  # the head-noun output leg fixes the copied base
     shape = tuple(bases[t.base] for t in wtype)
-    arr = np.ones(shape, dtype=complex)
     noun_axes = [k for k, t in enumerate(wtype) if t.base == noun]
     if len(noun_axes) < 2:
         raise ValueError("relative pronoun type must repeat the noun base")
-    d = bases[noun]
-    it = np.nditer(arr, flags=["multi_index"], op_flags=["writeonly"])
-    for cell in it:
-        idx = it.multi_index
-        vals = {idx[k] for k in noun_axes}
-        if len(vals) > 1:
-            cell[...] = 0.0
+    # broadcast an index grid per noun axis; a cell survives where all agree
+    first, *rest = [np.arange(shape[k]).reshape(
+        [-1 if a == k else 1 for a in range(len(shape))]) for k in noun_axes]
+    same = rest[0] == first
+    for grid in rest[1:]:
+        same = same & (grid == first)
+    arr = np.broadcast_to(same, shape).astype(complex, order="C")
     return Tensor(shape, arr)

@@ -1,23 +1,32 @@
-"""Tensor semantics: diagrams evaluated as dense complex contractions.
+"""Tensor semantics: diagrams evaluated as complex tensor contractions.
 
 A model assigns a dimension to every base symbol and a payload array to
-every box reference.  Cups and caps evaluate to identity matrices,
-swaps to index transpositions and spiders to the generalized Kronecker
-delta (one iff all legs carry the same index).  Contraction order is
-chosen greedily by smallest intermediate tensor; the result does not
-depend on the order.
+every box reference.  A wire is a contraction label: cups, caps,
+identities, swaps and spiders build no array, they only say which wires
+carry the same index.  :func:`evaluate` merges the wires through every
+structural node with a union-find, so each class of wires becomes one
+integer label and only boxes remain as operands.  A label shared by more
+than two operands (a spider joining boxes) is a hyperedge.  A label open
+at several boundary ports gets identity-matrix copies, an open label
+that no box carries gets an all-ones vector, and a class that touches
+no box and no boundary is a closed loop worth its dimension.
+
+Pairs of operands that share a label are contracted greedily, smallest
+result first, from a heap (the greedy path of opt_einsum); disconnected
+parts join by outer product.  The result does not depend on the order.
 
 Thick-wire (density-matrix) semantics pairs every wire with a conjugate
-copy: wire dimensions square, pure payloads become ``T (x) conj(T)``
-with the paired axes interleaved, and structural generators double
-componentwise (which leaves them deltas, now over the squared index).
-Payloads flagged ``mixed`` already live on thick wires and are used
-unchanged.
+copy: wire dimensions square and pure payloads become ``T (x) conj(T)``
+with the paired axes interleaved.  Structural generators double
+componentwise, which leaves them the same wiring over the squared
+index.  Payloads flagged ``mixed`` already live on thick wires and are
+used unchanged.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
 from dataclasses import dataclass, field, replace
 
@@ -127,146 +136,198 @@ def evaluate(d: Diagram, model: Model) -> Tensor:
             raise DimensionMismatch(f"base {base!r} has no dimension") from None
         return dim * dim if thick else dim
 
-    # one integer label per wire; boundary ports keep their labels open
-    label_dim: dict[int, int] = {}
-    node_labels: dict[tuple[int, int, str], int] = {}
-    in_labels: list[tuple[int, int]] = []
-    out_labels: list[tuple[int, int]] = []
-    parts: list[tuple[list[int], np.ndarray]] = []
-    next_label = len(d.wires)
-    for lbl, (sn, sp, dn, dp) in enumerate(d.wires):
-        wd = wdim(d.src_type(sn, sp).base)
-        label_dim[lbl] = wd
-        if sn == IN and dn == OUT:
-            # a bare through-wire is an identity tensor with two open legs
-            other = next_label
-            next_label += 1
-            label_dim[other] = wd
-            in_labels.append((sp, lbl))
-            out_labels.append((dp, other))
-            parts.append(([lbl, other], np.eye(wd, dtype=complex)))
-            continue
-        if sn == IN:
-            in_labels.append((sp, lbl))
+    # every wire starts as its own class; structural nodes merge classes
+    wire_dim = [wdim(d.src_type(sn, sp).base) for sn, sp, _, _ in d.wires]
+    parent = list(range(len(d.wires)))
+
+    def find(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    def union(i: int, a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            if wire_dim[ra] != wire_dim[rb]:
+                raise DimensionMismatch(
+                    f"node {i} ({d.nodes[i].kind}) joins wires of dimension "
+                    f"{wire_dim[ra]} and {wire_dim[rb]}")
+            parent[rb] = ra
+
+    node_in = [[0] * len(g.dom) for g in d.nodes]
+    node_out = [[0] * len(g.cod) for g in d.nodes]
+    bound_in = [0] * len(d.dom)
+    bound_out = [0] * len(d.cod)
+    for k, (sn, sp, dn, dp) in enumerate(d.wires):
+        (bound_in if sn == IN else node_out[sn])[sp] = k
+        (bound_out if dn == OUT else node_in[dn])[dp] = k
+
+    boxes = []
+    for i, gen in enumerate(d.nodes):
+        legs = node_in[i] + node_out[i]
+        if gen.kind == BOX:
+            boxes.append((i, legs))
+        elif gen.kind == SWAP:
+            union(i, legs[0], legs[3])
+            union(i, legs[1], legs[2])
+        elif gen.kind in (CUP, CAP, IDENTITY, SPIDER):
+            for k in legs[1:]:
+                union(i, legs[0], k)
         else:
-            node_labels[(sn, sp, "out")] = lbl
-        if dn == OUT:
-            out_labels.append((dp, lbl))
-        else:
-            node_labels[(dn, dp, "in")] = lbl
-    boundary = [lbl for _, lbl in sorted(in_labels)] + \
-               [lbl for _, lbl in sorted(out_labels)]
+            raise ValueError(f"unknown generator kind {gen.kind!r}")
+
+    # one integer label per class, numbered in order of first appearance
+    label_of: dict[int, int] = {}
+    dims: list[int] = []
+
+    def label(k: int) -> int:
+        root = find(k)
+        if root not in label_of:
+            label_of[root] = len(dims)
+            dims.append(wire_dim[root])
+        return label_of[root]
 
     scalar = 1.0 + 0.0j
-    for i, gen in enumerate(d.nodes):
-        arr, s = _generator_array(gen, model, thick)
+    operands: list[tuple[list[int], np.ndarray]] = []
+    for i, legs in boxes:
+        arr, s = _box_array(d.nodes[i], model, thick)
         scalar *= s
-        labels = [node_labels[(i, p, "in")] for p in range(len(gen.dom))] + \
-                 [node_labels[(i, p, "out")] for p in range(len(gen.cod))]
-        if arr.shape != tuple(label_dim[l] for l in labels):
+        expected = tuple(wire_dim[k] for k in legs)
+        if arr.shape != expected:
             raise DimensionMismatch(
-                f"payload for node {i} ({gen.name or gen.kind}) has shape "
-                f"{arr.shape}, expected {tuple(label_dim[l] for l in labels)}")
-        parts.append(_self_trace(labels, arr))
+                f"payload for node {i} ({d.nodes[i].name or BOX}) has shape "
+                f"{arr.shape}, expected {expected}")
+        operands.append(([label(k) for k in legs], arr))
 
-    result_labels, result = _contract_greedy(parts, set(boundary))
-    perm = [result_labels.index(l) for l in boundary]
-    result = result.transpose(perm) if perm else result.reshape(())
+    # an open label repeated on the boundary is joined to its copies by deltas
+    output: list[int] = []
+    for k in bound_in + bound_out:
+        lbl = label(k)
+        if lbl in output:
+            copy = len(dims)
+            dims.append(dims[lbl])
+            operands.append(([lbl, copy], np.eye(dims[lbl], dtype=complex)))
+            lbl = copy
+        output.append(lbl)
+    held = {l for labels, _ in operands for l in labels}
+    for lbl in output:
+        if lbl not in held:
+            operands.append(([lbl], np.ones(dims[lbl], dtype=complex)))
+    # a class touching no box and no boundary is a closed loop
+    loops = 1
+    for root in {find(k) for k in range(len(d.wires))}:
+        if root not in label_of:
+            loops *= wire_dim[root]
+
+    labels, result = _contract(operands, output, dims)
+    result = result.transpose([labels.index(l) for l in output])
+    if loops != 1:
+        result = result * loops
     return Tensor(result.shape, result, scalar)
 
 
-def _generator_array(gen, model: Model, thick: bool) -> tuple[np.ndarray, complex]:
-    if gen.kind == BOX:
-        ref = gen.payload or "box:" + repr(gen.signature())
-        if ref not in model.payloads:
-            raise MissingPayload(
-                f"box {gen.name!r} has no payload ({gen.payload!r})")
-        payload = model.payloads[ref]
-        arr, s = payload.tensor.data, payload.tensor.scalar
-        if thick and payload.kind == "pure":
-            return double_array(arr), s * np.conj(s)
-        if not thick and payload.kind == "mixed":
-            raise DimensionMismatch(
-                f"mixed payload {gen.payload!r} needs thick-wire semantics")
-        return arr, s
-    dim = model.dims[gen.dom[0].base] if gen.dom else model.dims[gen.cod[0].base]
-    wd = dim * dim if thick else dim
-    if gen.kind in (CUP, CAP, IDENTITY):
-        return np.eye(wd, dtype=complex), 1.0 + 0.0j
-    if gen.kind == SWAP:
-        du = model.dims[gen.dom[0].base]
-        dv = model.dims[gen.dom[1].base]
-        if thick:
-            du, dv = du * du, dv * dv
-        arr = np.einsum("il,jk->ijkl",
-                        np.eye(du, dtype=complex), np.eye(dv, dtype=complex))
-        return arr, 1.0 + 0.0j
-    if gen.kind == SPIDER:
-        legs = len(gen.dom) + len(gen.cod)
-        arr = np.zeros((wd,) * legs, dtype=complex)
-        for i in range(wd):
-            arr[(i,) * legs] = 1.0
-        return arr, 1.0 + 0.0j
-    raise ValueError(f"unknown generator kind {gen.kind!r}")
+def _box_array(gen, model: Model, thick: bool) -> tuple[np.ndarray, complex]:
+    ref = gen.payload or "box:" + repr(gen.signature())
+    if ref not in model.payloads:
+        raise MissingPayload(
+            f"box {gen.name!r} has no payload ({gen.payload!r})")
+    payload = model.payloads[ref]
+    arr, s = payload.tensor.data, payload.tensor.scalar
+    if thick and payload.kind == "pure":
+        return double_array(arr), s * np.conj(s)
+    if not thick and payload.kind == "mixed":
+        raise DimensionMismatch(
+            f"mixed payload {gen.payload!r} needs thick-wire semantics")
+    return arr, s
 
 
-def _self_trace(labels: list[int], arr: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """Trace out any label appearing twice on the same tensor."""
-    while True:
-        dup = None
-        for k, l in enumerate(labels):
-            if l in labels[k + 1:]:
-                dup = (k, k + 1 + labels[k + 1:].index(l))
-                break
-        if dup is None:
-            return labels, arr
-        a, b = dup
-        arr = np.trace(arr, axis1=a, axis2=b)
-        labels = [l for k, l in enumerate(labels) if k not in (a, b)]
+def _contract(operands, output: list[int], dims: list[int]):
+    """Contract labelled operands down to one over the *output* labels.
 
+    Greedy, as in opt_einsum: among pairs of operands that share a label,
+    contract the one with the smallest result first.  Candidate pairs sit
+    in a heap keyed by ``(result size, older operand, newer operand)``;
+    entries naming an operand already consumed are skipped when popped.
+    A label held by more than two operands (a spider joining boxes) is a
+    hyperedge and survives a pair contraction until its last holder.
+    """
+    keep = set(output)
+    ops: dict[int, tuple[list[int], np.ndarray]] = {}
+    holders: dict[int, set[int]] = {}
+    for labels, arr in operands:
+        for l in labels:
+            holders.setdefault(l, set()).add(len(ops))
+        ops[len(ops)] = (labels, arr)
+    # repeated labels on one operand become a diagonal; a label held by
+    # one operand only and not open is summed away
+    for i, (labels, arr) in ops.items():
+        out = [l for l in dict.fromkeys(labels)
+               if l in keep or len(holders[l]) > 1]
+        if out != labels:
+            for l in set(labels) - set(out):
+                holders[l].discard(i)
+            ops[i] = (out, _einsum(out, (arr, labels)))
 
-def _contract_greedy(parts, keep: set[int]) -> tuple[list[int], np.ndarray]:
-    if not parts:
-        return [], np.array(1.0 + 0.0j)
-    parts = list(parts)
-    while len(parts) > 1:
-        best = None
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                shared = set(parts[i][0]) & set(parts[j][0])
-                if not shared:
-                    continue
-                out_size = 1
-                for k, l in enumerate(parts[i][0]):
-                    if l not in shared:
-                        out_size *= parts[i][1].shape[k]
-                for k, l in enumerate(parts[j][0]):
-                    if l not in shared:
-                        out_size *= parts[j][1].shape[k]
-                if best is None or out_size < best[0]:
-                    best = (out_size, i, j)
-        if best is None:
-            # disconnected: outer-product the two smallest parts
-            parts.sort(key=lambda p: p[1].size)
-            (la, a), (lb, b) = parts[0], parts[1]
-            merged = np.multiply.outer(a, b).reshape(a.shape + b.shape)
-            parts = [(la + lb, merged)] + parts[2:]
+    def size(i: int, j: int) -> int:
+        (la, _), (lb, _) = ops[i], ops[j]
+        n = 1
+        for l in set(la) | set(lb):
+            if l in keep or holders[l] - {i, j}:
+                n *= dims[l]
+        return n
+
+    heap: list[tuple[int, int, int]] = []
+
+    def push_pairs(i: int, partners) -> None:
+        for j in partners:
+            heapq.heappush(heap, (size(i, j), min(i, j), max(i, j)))
+
+    for i in ops:
+        push_pairs(i, {j for l in ops[i][0] for j in holders[l] if j > i})
+
+    next_id = len(ops)
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        if i not in ops or j not in ops:
             continue
-        _, i, j = best
-        la, a = parts[i]
-        lb, b = parts[j]
+        (la, a), (lb, b) = ops.pop(i), ops.pop(j)
+        for l in la:
+            holders[l].discard(i)
+        for l in lb:
+            holders[l].discard(j)
         shared = [l for l in la if l in lb]
-        ax_a = [la.index(l) for l in shared]
-        ax_b = [lb.index(l) for l in shared]
-        merged = np.tensordot(a, b, axes=(ax_a, ax_b))
-        labels = [l for l in la if l not in shared] + \
-                 [l for l in lb if l not in shared]
-        parts = [p for k, p in enumerate(parts) if k not in (i, j)]
-        parts.append(_self_trace(labels, merged))
-    labels, arr = parts[0]
-    # trace never leaves duplicates; any non-kept label left would be a bug
-    assert all(l in keep for l in labels), "internal label escaped contraction"
-    return labels, arr
+        kept = [l for l in shared if l in keep or holders[l]]
+        out = [l for l in la if l not in shared or l in kept] + \
+              [l for l in lb if l not in shared]
+        if kept:
+            merged = _einsum(out, (a, la), (b, lb))
+        else:  # BLAS-backed; its result axes are already in `out` order
+            merged = np.tensordot(a, b, axes=([la.index(l) for l in shared],
+                                              [lb.index(l) for l in shared]))
+        for l in out:
+            holders[l].add(next_id)
+        ops[next_id] = (out, merged)
+        push_pairs(next_id, {k for l in out for k in holders[l]} - {next_id})
+        next_id += 1
+
+    # disconnected parts join by outer product, smallest first
+    rest = sorted(ops.values(), key=lambda op: op[1].size)
+    if not rest:
+        return [], np.array(1.0 + 0.0j)
+    labels, result = rest[0]
+    for la, a in rest[1:]:
+        labels, result = labels + la, np.multiply.outer(result, a)
+    return labels, result
+
+
+def _einsum(out: list[int], *operands) -> np.ndarray:
+    """``np.einsum`` over ``(array, labels)`` pairs, labels renumbered from 0."""
+    index: dict[int, int] = {}
+    args: list = []
+    for arr, labels in operands:
+        args += [arr, [index.setdefault(l, len(index)) for l in labels]]
+    return np.einsum(*args, [index[l] for l in out])
 
 
 # -- derived quantities ----------------------------------------------------

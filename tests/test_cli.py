@@ -105,6 +105,38 @@ def test_ambiguous_parse_exit_3(capsys, tmp_path):
     assert json.loads(out)["shape"] == [2]
 
 
+def _two_parse_lexicon(tmp_path):
+    lex = {
+        "bases": {"n": 2, "s": 2},
+        "words": [
+            {"word": "fish", "type": "n", "data": [1.0, 0.0]},
+            {"word": "fish", "type": "n", "data": [0.0, 1.0]},
+            {"word": "swims", "type": "n.L s", "data": [0.1, 0.2, 0.3, 0.4]},
+        ],
+    }
+    path = tmp_path / "lex.json"
+    path.write_text(json.dumps(lex))
+    return str(path)
+
+
+def test_parse_index_out_of_range_exit_2(capsys, tmp_path):
+    code, out, err = run(capsys, "meaning", _two_parse_lexicon(tmp_path),
+                         "fish swims", "--parse-index", "7")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --parse-index 7")
+    assert err.count("\n") == 1
+
+
+def test_parse_index_negative_exit_2(capsys, tmp_path):
+    code, out, err = run(capsys, "meaning", _two_parse_lexicon(tmp_path),
+                         "fish swims", "--parse-index", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --parse-index -1")
+    assert err.count("\n") == 1
+
+
 def test_no_parse_meaning_exit_1(capsys):
     code, _, err = run(capsys, "meaning", str(DATA / "language.json"),
                        "Alice Bob")

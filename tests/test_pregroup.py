@@ -5,7 +5,8 @@ from conftest import oracle_linksets
 
 from stringcalc import pregroup
 from stringcalc.errors import PayloadMissing, UnknownWord
-from stringcalc.pregroup import (grammar_diagram, lexicon_from_json, parse,
+from stringcalc.pregroup import (_relpron_tensor, grammar_diagram,
+                                 lexicon_from_json, parse,
                                  residual_report, word_state)
 from stringcalc.tensors import entropy, evaluate
 from stringcalc.types import WireType, parse_typelist
@@ -189,6 +190,31 @@ def test_relpron_payload_is_noun_delta():
     assert arr.shape == (2, 2, 2, 2)
     for i, j, s, k in np.ndindex(2, 2, 2, 2):
         assert arr[i, j, s, k] == (1.0 if i == j == k else 0.0)
+
+
+def _relpron_by_loop(wtype, bases):
+    """Reference: visit every cell, zero it unless the noun indices agree."""
+    noun = wtype[1].base
+    shape = tuple(bases[t.base] for t in wtype)
+    noun_axes = [k for k, t in enumerate(wtype) if t.base == noun]
+    arr = np.ones(shape, dtype=complex)
+    for idx in np.ndindex(*shape):
+        if len({idx[k] for k in noun_axes}) > 1:
+            arr[idx] = 0.0
+    return arr
+
+
+@pytest.mark.parametrize("wtype, bases", [
+    ("n.L n s.R n", {"n": 16, "s": 4}),
+    ("n.R n s.L", {"n": 3, "s": 2}),
+    ("n n n.L n", {"n": 3, "s": 2}),
+])
+def test_relpron_tensor_equals_loop_reference(wtype, bases):
+    wtype = parse_typelist(wtype)
+    got = _relpron_tensor(wtype, bases).data
+    expected = _relpron_by_loop(wtype, bases)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.array_equal(got, expected)
 
 
 def test_structural_entries_require_valid_types():

@@ -7,6 +7,7 @@ from stringcalc import diagram as dg
 from stringcalc.diagram import identity
 from stringcalc.errors import (DimensionMismatch, MissingPayload, NotHermitian,
                                NotSquare, ShapeMismatch, ZeroNorm)
+from stringcalc.pregroup import grammar_diagram, lexicon_from_json, parse
 from stringcalc.tensors import (Model, Payload, Tensor, as_density_matrix,
                                 double, double_array, entropy, evaluate,
                                 random_payloads, similarity, tensor_from_json,
@@ -100,6 +101,128 @@ def test_missing_payload_and_dimension_errors():
         evaluate(dg.box("f", (A,), (A,), payload="f"), bad)
     with pytest.raises(DimensionMismatch):
         evaluate(dg.cup("z", 0), model)
+
+
+def test_structural_node_joining_unequal_dimensions_raises():
+    # a hand-built swap that does not exchange its types aliases a to b
+    gen = dg.Generator(dg.SWAP, (A, B), (A, B))
+    IN, OUT = dg.IN, dg.OUT
+    d = dg.Diagram((A, B), (A, B), (gen,),
+                   ((IN, 0, 0, 0), (IN, 1, 0, 1), (0, 0, OUT, 0), (0, 1, OUT, 1)))
+    with pytest.raises(DimensionMismatch):
+        evaluate(d, Model(dims={"a": 2, "b": 3}))
+
+
+# -- wires as labels: structural generators alias, never materialize ---------
+
+
+def assert_matches_oracle(d, dims, seed=0):
+    """Thin and thick evaluation both agree with the brute-force oracle."""
+    for doubling in ("thin", "thick"):
+        model = random_payloads(Model(dims=dims, doubling=doubling), (d,),
+                                seed=seed)
+        got = evaluate(d, model)
+        oracle = brute_force_evaluate(d, model)
+        assert got.shape == oracle.shape
+        assert np.allclose(got.to_array(), oracle, atol=1e-9), doubling
+
+
+def state(name, *cod):
+    return dg.box(name, (), cod)
+
+
+def test_alias_bare_through_wires():
+    assert_matches_oracle(identity((A,)), {"a": 3})
+    assert_matches_oracle(identity((A, B)), {"a": 2, "b": 3})
+
+
+def test_alias_cup_cap_loop_is_dimension():
+    loop = dg.cup("a", 0) >> dg.swap(A.l, A) >> dg.cap("a", 0)
+    assert_matches_oracle(loop, {"a": 3})
+    model = Model(dims={"a": 3})
+    assert evaluate(loop, model).to_array() == pytest.approx(3.0)
+    thick = evaluate(double(loop), model)
+    assert thick.shape == () and thick.to_array() == pytest.approx(9.0)
+
+
+def test_alias_spiders_with_several_open_legs():
+    assert_matches_oracle(dg.spider("a", 1, 2), {"a": 3})
+    assert_matches_oracle(dg.spider("a", 0, 3), {"a": 3})
+    assert_matches_oracle(dg.spider("a", 0, 1), {"a": 3})
+    assert_matches_oracle(dg.spider("a", 2, 0), {"a": 3})
+
+
+def test_alias_spider_joining_three_boxes():
+    closed = state("u", A) >> dg.spider("a", 1, 2) \
+        >> (dg.box("p", (A,), (B,)) @ dg.box("q", (A,), (B,)))
+    assert_matches_oracle(closed, {"a": 2, "b": 2})
+    # the shared label also stays open, so it survives every pair contraction
+    open_leg = state("u", A) >> dg.spider("a", 1, 3) \
+        >> (dg.box("p", (A,), (B,)) @ identity((A,)) @ dg.box("q", (A,), (B,)))
+    assert_matches_oracle(open_leg, {"a": 2, "b": 2})
+
+
+def test_alias_box_output_capped_to_its_own_input():
+    # cup, then f on the lower leg, then f's output capped back to the cup:
+    # a partial trace of f over its a legs
+    f = dg.box("f", (A,), (A, B))
+    d = dg.cup("a", 0) >> (identity((A.l,)) @ f) \
+        >> (dg.swap(A.l, A) @ identity((B,))) >> (dg.cap("a", 0) @ identity((B,)))
+    assert d.dom == () and d.cod == (B,)
+    assert_matches_oracle(d, {"a": 2, "b": 2})
+    arr = np.arange(8.0).reshape(2, 2, 2)
+    model = model_with({"a": 2, "b": 2}, **{"box:" + repr(d.nodes[1].signature()): arr})
+    assert np.allclose(evaluate(d, model).to_array(), np.einsum("iij->j", arr))
+
+
+def test_alias_disconnected_parts_and_scalar_box():
+    d = state("u", A) @ state("s") @ identity((B,)) @ state("v", B, A)
+    assert_matches_oracle(d, {"a": 2, "b": 3})
+
+
+def test_alias_empty_diagram_is_one():
+    assert_matches_oracle(identity(()), {"a": 2})
+    out = evaluate(identity(()), Model(dims={}))
+    assert out.shape == () and out.to_array() == 1.0
+
+
+def test_alias_permutation_wires():
+    types = (A, B, A)
+    perm = dg.permutation(types, [2, 0, 1])
+    assert_matches_oracle(perm, {"a": 2, "b": 2})
+    assert_matches_oracle(state("u", A, B) @ state("v", A) >> perm,
+                          {"a": 2, "b": 2})
+
+
+def test_long_sentence_matches_matrix_chain():
+    """259 words: 128 adjectives each side of a transitive verb."""
+    rng = np.random.default_rng(5)
+    adjectives = {f"adj{k}": np.linalg.qr(rng.standard_normal((4, 4)))[0]
+                  for k in range(8)}
+    subject, obj = rng.standard_normal(4), rng.standard_normal(4)
+    verb = rng.standard_normal((4, 2, 4))
+    words = [{"word": w, "type": "n n.R", "data": m.ravel().tolist()}
+             for w, m in adjectives.items()]
+    words += [{"word": "cat", "type": "n", "data": subject.tolist()},
+              {"word": "dog", "type": "n", "data": obj.tolist()},
+              {"word": "sees", "type": "n.L s n.R", "data": verb.ravel().tolist()}]
+    lexicon = lexicon_from_json({"bases": {"n": 4, "s": 2}, "words": words})
+    left = [f"adj{k % 8}" for k in range(128)]
+    right = [f"adj{3 * k % 8}" for k in range(128)]
+    sentence = left + ["cat", "sees"] + right + ["dog"]
+    assert len(sentence) == 259
+    (witness,) = parse(lexicon, sentence)
+    d = grammar_diagram(sentence, witness, lexicon)
+    got = evaluate(d, lexicon.model()).to_array()
+
+    def chain(names, vector):
+        for name in reversed(names):
+            vector = adjectives[name] @ vector
+        return vector
+
+    expected = np.einsum("i,isj,j->s", chain(left, subject), verb,
+                         chain(right, obj))
+    assert np.allclose(got, expected, atol=1e-9)
 
 
 def test_scalar_factor_accumulates():

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import diagram as dg
 from . import pregroup, protocols, resources, rewrite, tensors
 from .errors import (AmbiguousParse, InvalidDiagram, NoParse, StateExplosion,
-                     StringCalcError, UnknownWord, VerificationFailure)
+                     StringCalcError, UnknownWord)
 from .types import typelist_str
 
 EXIT_OK = 0
@@ -28,27 +28,21 @@ EXIT_INPUT = 2
 EXIT_AMBIGUOUS = 3
 EXIT_EXHAUSTED = 4
 
+# An error exits with the code of its nearest class here; any other
+# exception is a bug and keeps its traceback.
+EXIT_CODES = {ValueError: EXIT_INPUT, FileNotFoundError: EXIT_INPUT,
+              UnknownWord: EXIT_INPUT, InvalidDiagram: EXIT_INPUT,
+              AmbiguousParse: EXIT_AMBIGUOUS, StateExplosion: EXIT_EXHAUSTED,
+              StringCalcError: EXIT_NEGATIVE}
+
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UnknownWord, FileNotFoundError, json.JSONDecodeError,
-            InvalidDiagram, ValueError) as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except AmbiguousParse as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_AMBIGUOUS
-    except StateExplosion as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EXHAUSTED
-    except (NoParse, VerificationFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    except StringCalcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
+        return next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 import json
 
-from .errors import InvalidDiagram, TypeMismatch, ZeroArity
+from .errors import InvalidDiagram, TypeMismatch, ZeroArity, require
 from .types import TypeList, WireType, check_declared, parse_wiretype
 
 __all__ = [
@@ -48,7 +48,10 @@ Wire = tuple[int, int, int, int]
 
 @dataclass(frozen=True)
 class Generator:
-    """A single node: box, cup, cap, swap, spider or explicit identity."""
+    """A single node: box, cup, cap, swap, spider or explicit identity.
+
+    A spider's legs share one base, in any adjoint orders (``n.L n n``).
+    """
 
     kind: str
     dom: TypeList
@@ -519,20 +522,26 @@ def diagram_to_json(d: Diagram) -> dict:
 
 def diagram_from_json(data: dict) -> Diagram:
     """Inverse of :func:`diagram_to_json`; validates the result."""
+    def types(obj, key: str, where: str, *default) -> TypeList:
+        return tuple(parse_wiretype(t)
+                     for t in require(obj, key, list, where, *default))
+
     nodes = []
-    for entry in sorted(data.get("nodes", []), key=lambda e: e["id"]):
+    for entry in sorted(require(data, "nodes", list, "diagram", []),
+                        key=lambda e: require(e, "id", int, "diagram node")):
         nodes.append(Generator(
-            kind=entry["kind"],
-            dom=tuple(parse_wiretype(t) for t in entry["dom"]),
-            cod=tuple(parse_wiretype(t) for t in entry["cod"]),
+            kind=require(entry, "kind", str, "diagram node"),
+            dom=types(entry, "dom", "diagram node"),
+            cod=types(entry, "cod", "diagram node"),
             name=entry.get("name", ""),
             payload=entry.get("payload"),
         ))
     d = Diagram(
-        dom=tuple(parse_wiretype(t) for t in data.get("inputs", [])),
-        cod=tuple(parse_wiretype(t) for t in data.get("outputs", [])),
+        dom=types(data, "inputs", "diagram", []),
+        cod=types(data, "outputs", "diagram", []),
         nodes=tuple(nodes),
-        wires=tuple(sorted(tuple(w) for w in data.get("edges", []))),
+        wires=tuple(sorted(tuple(w) for w in require(data, "edges", list,
+                                                     "diagram", []))),
         doubled=bool(data.get("doubled", False)),
     )
     table = set(data.get("types", {}))

@@ -1,4 +1,16 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the JSON field check."""
+
+
+def require(obj, key: str, kind: type, where: str, default=None):
+    """``obj[key]``, or *default* if given and the key is absent, checked
+    to be a *kind*: a malformed JSON field is a ``ValueError`` naming it."""
+    if not isinstance(obj, dict) or (key not in obj and default is None):
+        raise ValueError(f"{where} has no {key!r} field")
+    value = obj.get(key, default)
+    if not isinstance(value, kind):
+        raise ValueError(f"{where} field {key!r} must be {kind.__name__}, "
+                         f"got {type(value).__name__}")
+    return value
 
 
 class StringCalcError(Exception):

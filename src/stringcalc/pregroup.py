@@ -6,10 +6,10 @@ A sentence parses when the concatenated word types reduce to the target
 arcs, and everything strictly under an arc is itself fully cancelled,
 so the parser enumerates witnesses with a memoized span recursion.
 
-:func:`grammar_diagram` turns a witness into a string diagram: a row of
-word states composed with one cap per link.  Entries whose payload is
-``structural:*`` ("does", "not", relative pronouns) are built from cup
-and spider wiring instead of a stored array.
+:func:`grammar_diagram` turns a witness into one port graph: word
+states side by side, one cap per link.  Structural entries ("does",
+"not", relative pronouns) are wiring, in the Frobenius reading of
+Sadrzadeh, Clark and Coecke: cups and spiders, plus negation's box.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import diagram as dg
-from .diagram import Diagram, compose_par, identity
-from .errors import PayloadMissing, UnknownWord
+from .diagram import BOX, CAP, CUP, OUT, SPIDER, Diagram, Generator
+from .errors import PayloadMissing, TypeMismatch, UnknownWord, require
 from .tensors import Model, Payload, Tensor
 from .types import TypeList, WireType, parse_typelist, typelist_str
 
@@ -42,7 +42,7 @@ STRUCTURAL_KINDS = ("structural:copula", "structural:negation",
 class LexEntry:
     word: str
     type: TypeList
-    payload: str | None  # payload ref for pure/mixed, builder name for structural
+    payload: str | None  # payload ref; None for a copula or relative pronoun
     kind: str  # "pure" | "mixed" | "structural:<builder>"
 
 
@@ -78,27 +78,12 @@ class ParseWitness:
 
     def replay(self) -> bool:
         """Check the links really reduce the flat string to the residual."""
-        linked = {i for link in self.links for i in link}
-        if sorted(set(self.residual)) != sorted(
-                i for i in range(len(self.flat)) if i not in linked):
+        try:
+            partner = _link_partners(self.flat, self.links)
+        except (TypeMismatch, ValueError):
             return False
-        for i, j in self.links:
-            a, b = self.flat[i], self.flat[j]
-            if not (i < j and a.base == b.base and b.z == a.z + 1):
-                return False
-            for k in range(i + 1, j):
-                if k in self.residual:
-                    return False
-        return _noncrossing(self.links)
-
-
-def _noncrossing(links) -> bool:
-    ls = sorted(links)
-    for a in ls:
-        for b in ls:
-            if a[0] < b[0] < a[1] < b[1]:
-                return False
-    return True
+        return sorted(set(self.residual)) == [
+            i for i in range(len(self.flat)) if i not in partner]
 
 
 def parse(lexicon: PregroupLexicon, words: list[str],
@@ -216,106 +201,103 @@ def residual_report(lexicon: PregroupLexicon, words: list[str],
 
 def grammar_diagram(words: list[str], witness: ParseWitness,
                     lexicon: PregroupLexicon) -> Diagram:
-    """Word states in parallel, then one cap per cancellation link.
+    """One port graph: word states side by side, a cap on each link's pair.
 
     Open outputs are exactly the residual wires of the witness.
     """
     table = set(lexicon.bases)
-    row = identity(())
+    nodes: list[Generator] = []
+    wires: list[tuple[int, int, int, int]] = []
+    row: list[WireType] = []
+    feeds: list[tuple[int, int]] = []  # row output -> (node, port) feeding it
     for pos, word in enumerate(words):
-        entry = lexicon.lookup(word)[witness.entry_indices[pos]]
-        row = compose_par(row, word_state(entry, lexicon, table))
+        state = word_state(lexicon.lookup(word)[witness.entry_indices[pos]],
+                           lexicon, table)
+        shift = len(nodes)
+        out = {dp: (sn + shift, sp) for sn, sp, dn, dp in state.wires if dn == OUT}
+        wires += [(sn + shift, sp, dn + shift, dp)
+                  for sn, sp, dn, dp in state.wires if dn != OUT]
+        feeds += [out[p] for p in range(len(state.cod))]
+        nodes += state.nodes
+        row += state.cod
+    partner = _link_partners(row, witness.links)
+    cod = []
+    for k, (sn, sp) in enumerate(feeds):
+        j = partner.get(k)
+        if j is None:
+            wires.append((sn, sp, OUT, len(cod)))
+            cod.append(row[k])
+        elif j > k:
+            wires += [(sn, sp, len(nodes), 0), (*feeds[j], len(nodes), 1)]
+            nodes.append(Generator(CAP, (row[k], row[j]), ()))
+    return Diagram((), tuple(cod), tuple(nodes), tuple(sorted(wires)))
 
-    # innermost links become adjacent first; cap them off layer by layer
-    open_indices = list(range(len(witness.flat)))
-    links = set(witness.links)
-    while links:
-        hit = None
-        for k in range(len(open_indices) - 1):
-            pair = (open_indices[k], open_indices[k + 1])
-            if pair in links:
-                hit = (k, pair)
-                break
-        assert hit is not None, "witness links are not well nested"
-        k, pair = hit
-        left = tuple(witness.flat[i] for i in open_indices[:k])
-        right = tuple(witness.flat[i] for i in open_indices[k + 2:])
-        the_cap = dg.cap(witness.flat[pair[0]].base, witness.flat[pair[0]].z, table)
-        layer = identity(left) @ the_cap @ identity(right)
-        row = row >> layer
-        links.discard(pair)
-        del open_indices[k:k + 2]
-    return row
+
+def _link_partners(flat, links) -> dict[int, int]:
+    """Each linked index mapped to its partner, the links checked in one pass."""
+    partner: dict[int, int] = {}
+    for i, j in links:
+        if not 0 <= i < j < len(flat) or i in partner or j in partner:
+            raise ValueError(f"link {(i, j)} reuses an index or is out of order")
+        if flat[i].base != flat[j].base or flat[j].z != flat[i].z + 1:
+            raise TypeMismatch(f"link {(i, j)} joins {flat[i]} to {flat[j]}")
+        partner[i], partner[j] = j, i
+    around: list[int] = []  # right ends of the links enclosing k
+    for k in range(len(flat)):
+        j = partner.get(k, -1)
+        if j > k:
+            around.append(j)
+        elif around and around[-1] == k:
+            around.pop()
+        elif around:
+            raise ValueError(f"links cross, or one covers index {k}")
+    return partner
 
 
 def word_state(entry: LexEntry, lexicon: PregroupLexicon, table=None) -> Diagram:
-    """The state diagram for one lexicon entry."""
+    """The state diagram for one lexicon entry: one box, or wiring."""
+    if entry.kind in ("pure", "mixed", "structural:negation") and \
+            entry.payload not in lexicon.payloads:
+        raise PayloadMissing(f"word {entry.word!r} payload {entry.payload!r}")
     if entry.kind in ("pure", "mixed"):
-        if entry.payload not in lexicon.payloads:
-            raise PayloadMissing(f"word {entry.word!r} payload {entry.payload!r}")
         return dg.make_generator(entry.word, (), entry.type,
                                  payload=entry.payload, table=table)
-    if entry.kind == "structural:copula":
-        return _copula_state(entry, table)
-    if entry.kind == "structural:negation":
-        return _negation_state(entry, lexicon, table)
+    if entry.kind in ("structural:copula", "structural:negation"):
+        return _copula_state(entry)
     if entry.kind == "structural:relpron":
-        return _relpron_state(entry, lexicon, table)
+        return _relpron_state(entry)
     raise PayloadMissing(f"unknown payload kind {entry.kind!r} for {entry.word!r}")
 
 
-def _split_copula_type(entry: LexEntry) -> tuple[str, str]:
+def _copula_state(entry: LexEntry) -> Diagram:
+    """A cup on ``a`` feeding outputs 0 and 3 of ``[a.L, b, b.R, a]``, one
+    on ``b`` feeding 1 and 2; they cross as wires.  Negation puts its
+    matrix box on output 1."""
     t = entry.type
-    ok = (len(t) == 4 and t[0].base == t[3].base and t[0].z == t[3].z + 1
-          and t[1].base == t[2].base and t[1].z == t[2].z + 1
-          and t[1].base != t[0].base)
-    if not ok:
-        raise PayloadMissing(
-            f"copula-style entry {entry.word!r} needs a type of shape "
-            f"[a.L, b, b.R, a], got {typelist_str(t)}")
-    return t[0].base, t[1].base
+    nodes = [Generator(CUP, (), (t[0], t[3])), Generator(CUP, (), (t[1], t[2]))]
+    wires = [(0, 0, OUT, 0), (0, 1, OUT, 3), (1, 1, OUT, 2)]
+    if entry.kind == "structural:negation":
+        nodes.append(Generator(BOX, (t[1],), (t[1],), name="negation",
+                               payload=entry.payload))
+        wires += [(1, 0, 2, 0), (2, 0, OUT, 1)]
+    else:
+        wires.append((1, 0, OUT, 1))
+    return Diagram((), t, tuple(nodes), tuple(sorted(wires)))
 
 
-def _copula_state(entry: LexEntry, table=None) -> Diagram:
-    """Nested cups: outer on the noun pair, inner on the sentence pair.
-
-    For type ``[a.L, b, b.R, a]`` the state is a cup on ``a`` nested
-    around a cup on ``b``; swaps reorder the legs into lexical order.
-    """
-    a, b = _split_copula_type(entry)
-    za, zb = entry.type[3].z, entry.type[2].z
-    cups = dg.cup(a, za, table) @ dg.cup(b, zb, table)
-    # cups emit [a.L, a, b, b.R]; reorder to [a.L, b, b.R, a]
-    return cups >> dg.permutation(cups.cod, [0, 3, 1, 2])
-
-
-def _negation_state(entry: LexEntry, lexicon: PregroupLexicon, table=None) -> Diagram:
-    """Copula wiring with the negation box spliced into the inner pair."""
-    a, b = _split_copula_type(entry)
-    za, zb = entry.type[3].z, entry.type[2].z
-    if entry.payload not in lexicon.payloads:
-        raise PayloadMissing(
-            f"negation entry {entry.word!r} needs a matrix payload")
-    neg = dg.make_generator("negation", (WireType(b, zb + 1),),
-                            (WireType(b, zb + 1),),
-                            payload=entry.payload, table=table)
-    dressed = dg.cup(b, zb, table) >> (neg @ identity((WireType(b, zb),)))
-    cups = dg.cup(a, za, table) @ dressed
-    return cups >> dg.permutation(cups.cod, [0, 3, 1, 2])
-
-
-def _relpron_state(entry: LexEntry, lexicon: PregroupLexicon, table=None) -> Diagram:
-    """Relative pronoun: a copying dot on the noun, a discard on ``s``.
-
-    Realized as a box whose payload is generated at load time (see
-    :func:`lexicon_from_json`): a three-leg Kronecker delta on the noun
-    wires times an all-ones vector on the sentence wire, which is the
-    spider semantics transported to the entry's adjoint orders.
-    """
-    if entry.payload not in lexicon.payloads:
-        raise PayloadMissing(f"relative pronoun {entry.word!r} has no payload")
-    return dg.make_generator(entry.word, (), entry.type,
-                             payload=entry.payload, table=table)
+def _relpron_state(entry: LexEntry) -> Diagram:
+    """Relative pronoun: one spider copies the noun, joining every leg of
+    the base of leg 1 whatever its adjoint order; a one-leg spider
+    discards each other leg (the ``s.R`` of ``n.L n s.R n``)."""
+    t = entry.type
+    noun = [k for k, w in enumerate(t) if w.base == t[1].base]
+    nodes = [Generator(SPIDER, (), tuple(t[k] for k in noun))]
+    wires = [(0, p, OUT, k) for p, k in enumerate(noun)]
+    for k in range(len(t)):
+        if k not in noun:
+            wires.append((len(nodes), 0, OUT, k))
+            nodes.append(Generator(SPIDER, (), (t[k],)))
+    return Diagram((), t, tuple(nodes), tuple(sorted(wires)))
 
 
 # -- lexicon loading -------------------------------------------------------
@@ -336,40 +318,42 @@ def lexicon_from_json(data: dict) -> PregroupLexicon:
 
     ``data`` is dense row-major; entries may be ``[re, im]`` pairs or
     bare reals.  Mixed payloads use the squared shape of every wire.
+    Malformed input, such as a structural type that does not fit its
+    wiring, raises ``ValueError``.
     """
-    bases = {str(b): int(dim) for b, dim in data["bases"].items()}
+    dims = require(data, "bases", dict, "lexicon")
+    bases = {str(b): require(dims, b, int, "lexicon bases") for b in dims}
     entries: dict[str, list[LexEntry]] = {}
     payloads: dict[str, Payload] = {}
-    for raw in data["words"]:
-        word = raw["word"]
-        wtype = parse_typelist(raw["type"])
+    for raw in require(data, "words", list, "lexicon"):
+        word = require(raw, "word", str, "lexicon word")
+        where = f"word {word!r}"
+        wtype = parse_typelist(require(raw, "type", str, where))
         for t in wtype:
             if t.base not in bases:
                 raise ValueError(f"word {word!r} uses undeclared base {t.base!r}")
         payload_kind = raw.get("payload", "dense")
         index = len(entries.get(word, []))
         ref = f"word:{word}:{index}"
-        if payload_kind in ("dense", "pure"):
-            shape = tuple(bases[t.base] for t in wtype)
-            payloads[ref] = Payload(_tensor_from_data(raw["data"], shape), "pure")
-            entry = LexEntry(word, wtype, ref, "pure")
-        elif payload_kind == "mixed":
-            shape = tuple(bases[t.base] ** 2 for t in wtype)
-            payloads[ref] = Payload(_tensor_from_data(raw["data"], shape), "mixed")
-            entry = LexEntry(word, wtype, ref, "mixed")
-        elif payload_kind == "structural:negation":
-            b = wtype[1].base
-            shape = (bases[b], bases[b])
-            # "data" is the conventional left-acting matrix; box payloads
-            # are indexed [input, output], hence the transpose
-            matrix = _tensor_from_data(raw["data"], shape)
-            payloads[ref] = Payload(Tensor(shape, matrix.data.T), "pure")
-            entry = LexEntry(word, wtype, ref, payload_kind)
-        elif payload_kind == "structural:copula":
-            entry = LexEntry(word, wtype, None, payload_kind)
-        elif payload_kind == "structural:relpron":
-            payloads[ref] = Payload(_relpron_tensor(wtype, bases), "pure")
-            entry = LexEntry(word, wtype, ref, payload_kind)
+        if payload_kind in ("dense", "pure", "mixed"):
+            kind = "mixed" if payload_kind == "mixed" else "pure"
+            shape = tuple(bases[t.base] ** (2 if kind == "mixed" else 1)
+                          for t in wtype)
+            tensor = _tensor_from_data(require(raw, "data", list, where), shape)
+            payloads[ref] = Payload(tensor, kind)
+            entry = LexEntry(word, wtype, ref, kind)
+        elif payload_kind in STRUCTURAL_KINDS:
+            _check_structural_type(word, payload_kind, wtype)
+            if payload_kind == "structural:negation":
+                b = wtype[1].base
+                shape = (bases[b], bases[b])
+                # "data" is the conventional left-acting matrix; box payloads
+                # are indexed [input, output], hence the transpose
+                matrix = _tensor_from_data(require(raw, "data", list, where),
+                                           shape)
+                payloads[ref] = Payload(Tensor(shape, matrix.data.T), "pure")
+            entry = LexEntry(word, wtype, ref if ref in payloads else None,
+                             payload_kind)
         else:
             raise ValueError(f"unknown payload kind {payload_kind!r}")
         entries.setdefault(word, []).append(entry)
@@ -378,6 +362,21 @@ def lexicon_from_json(data: dict) -> PregroupLexicon:
         entries={w: tuple(es) for w, es in entries.items()},
         payloads=payloads,
     )
+
+
+def _check_structural_type(word: str, kind: str, t: TypeList) -> None:
+    """``ValueError`` unless *t* fits the wiring :func:`word_state` builds."""
+    if kind == "structural:relpron":
+        if len(t) < 2 or sum(w.base == t[1].base for w in t) < 2:
+            raise ValueError(
+                f"relative pronoun {word!r} needs a type that repeats the "
+                f"noun base of its second leg, got {typelist_str(t)}")
+    elif not (len(t) == 4 and t[0].base == t[3].base and t[0].z == t[3].z + 1
+              and t[1].base == t[2].base and t[1].z == t[2].z + 1
+              and t[1].base != t[0].base):
+        raise ValueError(
+            f"{kind.split(':')[1]} entry {word!r} needs a type of shape "
+            f"[a.L, b, b.R, a], got {typelist_str(t)}")
 
 
 def load_lexicon(path) -> PregroupLexicon:
@@ -392,20 +391,3 @@ def _tensor_from_data(data, shape: tuple[int, ...]) -> Tensor:
         raise ValueError(f"payload has {flat.size} entries, shape {shape} "
                          f"needs {expected}")
     return Tensor(shape, flat.reshape(shape))
-
-
-def _relpron_tensor(wtype: TypeList, bases: dict[str, int]) -> Tensor:
-    """Delta on the noun legs, all-ones on every other leg."""
-    noun = wtype[1].base  # the head-noun output leg fixes the copied base
-    shape = tuple(bases[t.base] for t in wtype)
-    noun_axes = [k for k, t in enumerate(wtype) if t.base == noun]
-    if len(noun_axes) < 2:
-        raise ValueError("relative pronoun type must repeat the noun base")
-    # broadcast an index grid per noun axis; a cell survives where all agree
-    first, *rest = [np.arange(shape[k]).reshape(
-        [-1 if a == k else 1 for a in range(len(shape))]) for k in noun_axes]
-    same = rest[0] == first
-    for grid in rest[1:]:
-        same = same & (grid == first)
-    arr = np.broadcast_to(same, shape).astype(complex, order="C")
-    return Tensor(shape, arr)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import StateExplosion
+from .errors import StateExplosion, require
 
 __all__ = [
     "ResourcePresentation", "ConversionWitness", "RateResult",
@@ -161,9 +161,11 @@ def conversion_rate(a: str, b: str, presentation: ResourcePresentation,
 def presentation_from_json(data: dict) -> ResourcePresentation:
     """Schema: ``{"atoms": ["A"], "rules": [{"from": [...], "to": [...]}]}``."""
     return ResourcePresentation(
-        atoms=frozenset(str(a) for a in data["atoms"]),
-        rules=tuple((as_multiset(r["from"]), as_multiset(r["to"]))
-                    for r in data["rules"]),
+        atoms=frozenset(str(a) for a in require(data, "atoms", list,
+                                                "presentation")),
+        rules=tuple((as_multiset(require(r, "from", list, "rule")),
+                     as_multiset(require(r, "to", list, "rule")))
+                    for r in require(data, "rules", list, "presentation")),
     )
 
 

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 import stringcalc
 from stringcalc.cli import main
 
@@ -135,6 +137,46 @@ def test_parse_index_negative_exit_2(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: --parse-index -1")
     assert err.count("\n") == 1
+
+
+def _lexicon_with(word):
+    return {"bases": {"n": 2, "s": 2}, "words": [
+        {"word": "Alice", "type": "n", "data": [1.0, 0.0]}, word]}
+
+
+@pytest.mark.parametrize("argv, data, named", [
+    # structural entries whose type does not fit their wiring
+    (["meaning", "Alice does"], _lexicon_with(
+        {"word": "does", "type": "n.L s", "payload": "structural:copula"}),
+     "n.L s"),
+    (["meaning", "Alice not"], _lexicon_with(
+        {"word": "not", "type": "n.L s n.R n",
+         "payload": "structural:negation", "data": [0.0, 1.0, 1.0, 0.0]}),
+     "n.L s n.R n"),
+    (["meaning", "Alice who"], _lexicon_with(
+        {"word": "who", "type": "n.L s", "payload": "structural:relpron"}),
+     "n.L s"),
+    (["meaning", "Alice who"], _lexicon_with(
+        {"word": "who", "type": "n", "payload": "structural:relpron"}),
+     "got n"),
+    # missing or wrongly typed fields
+    (["parse", "Alice"], {"words": []}, "'bases'"),
+    (["rate", "A", "A"], {"atoms": ["A"]}, "'rules'"),
+    (["normalize"], {"nodes": [{"id": 0, "dom": [], "cod": []}]}, "'kind'"),
+    (["parse", "Alice"], {"bases": {"n": "two"}, "words": []}, "'n'"),
+    (["rate", "A", "A"], {"atoms": ["A"], "rules": [{"from": "A", "to": []}]},
+     "'from'"),
+], ids=["copula-type", "negation-type", "relpron-no-repeat", "relpron-one-leg",
+        "lexicon-no-bases", "presentation-no-rules", "node-no-kind",
+        "dimension-not-int", "rule-from-not-list"])
+def test_malformed_input_exit_2_with_one_error_line(capsys, tmp_path, argv,
+                                                    data, named):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
 
 
 def test_no_parse_meaning_exit_1(capsys):

@@ -1,14 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import oracle_linksets
 
 from stringcalc import pregroup
-from stringcalc.errors import PayloadMissing, UnknownWord
-from stringcalc.pregroup import (_relpron_tensor, grammar_diagram,
-                                 lexicon_from_json, parse,
+from stringcalc.diagram import BOX, SWAP, validate
+from stringcalc.errors import TypeMismatch, UnknownWord
+from stringcalc.pregroup import (grammar_diagram, lexicon_from_json, parse,
                                  residual_report, word_state)
-from stringcalc.tensors import entropy, evaluate
+from stringcalc.tensors import double_array, entropy, evaluate
 from stringcalc.types import WireType, parse_typelist
 
 DATA = {
@@ -121,7 +123,6 @@ def test_max_combinations_caps_entry_products():
 
 def test_witness_replay_rejects_tampering(lex):
     (w,) = parse(lex, ["Alice", "hates", "Bob"])
-    import dataclasses
     crossed = dataclasses.replace(w, links=frozenset({(0, 3), (1, 4)}))
     assert not crossed.replay()
     wrong_residual = dataclasses.replace(w, residual=(0,))
@@ -176,22 +177,6 @@ def test_residual_report_shows_stuck_types(lex):
     assert report2 == [((0, 0, 0), "s")]
 
 
-def test_relpron_payload_is_noun_delta():
-    data = {
-        "bases": {"n": 2, "s": 2},
-        "words": [
-            {"word": "who", "type": "n.L n s.R n",
-             "payload": "structural:relpron"},
-        ],
-    }
-    lexicon = lexicon_from_json(data)
-    (entry,) = lexicon.lookup("who")
-    arr = lexicon.payloads[entry.payload].tensor.data
-    assert arr.shape == (2, 2, 2, 2)
-    for i, j, s, k in np.ndindex(2, 2, 2, 2):
-        assert arr[i, j, s, k] == (1.0 if i == j == k else 0.0)
-
-
 def _relpron_by_loop(wtype, bases):
     """Reference: visit every cell, zero it unless the noun indices agree."""
     noun = wtype[1].base
@@ -204,28 +189,91 @@ def _relpron_by_loop(wtype, bases):
     return arr
 
 
+def _relpron_lexicon(wtype, bases):
+    return lexicon_from_json({"bases": bases, "words": [
+        {"word": "who", "type": wtype, "payload": "structural:relpron"}]})
+
+
 @pytest.mark.parametrize("wtype, bases", [
     ("n.L n s.R n", {"n": 16, "s": 4}),
     ("n.R n s.L", {"n": 3, "s": 2}),
     ("n n n.L n", {"n": 3, "s": 2}),
 ])
 def test_relpron_tensor_equals_loop_reference(wtype, bases):
-    wtype = parse_typelist(wtype)
-    got = _relpron_tensor(wtype, bases).data
-    expected = _relpron_by_loop(wtype, bases)
+    lexicon = _relpron_lexicon(wtype, bases)
+    got = evaluate(word_state(lexicon.lookup("who")[0], lexicon),
+                   lexicon.model()).to_array()
+    expected = _relpron_by_loop(parse_typelist(wtype), bases)
     assert got.dtype == expected.dtype and got.shape == expected.shape
     assert np.array_equal(got, expected)
 
 
+@pytest.mark.parametrize("wtype, bases", [
+    ("n.L n s.R n", {"n": 2, "s": 2}),
+    ("n.R n s.L", {"n": 3, "s": 2}),
+])
+def test_relpron_thick_state_is_doubled_reference(wtype, bases):
+    lexicon = _relpron_lexicon(wtype, bases)
+    got = evaluate(word_state(lexicon.lookup("who")[0], lexicon),
+                   lexicon.model(doubling="thick")).to_array()
+    expected = double_array(_relpron_by_loop(parse_typelist(wtype), bases))
+    assert np.array_equal(got, expected)
+
+
+def test_structural_states_are_wiring():
+    lexicon = lexicon_from_json({**DATA, "words": DATA["words"] + [
+        {"word": "who", "type": "n.L n s.R n", "payload": "structural:relpron"}]})
+    for word in ("does", "not", "who"):
+        state = word_state(lexicon.lookup(word)[0], lexicon)
+        assert validate(state) == []
+        assert all(g.kind != SWAP for g in state.nodes)
+    (who,) = lexicon.lookup("who")
+    assert who.payload is None
+    assert not any(ref.startswith("word:who") for ref in lexicon.payloads)
+    assert all(g.kind != BOX for g in word_state(who, lexicon).nodes)
+
+
+def test_grammar_diagram_rejects_a_link_that_does_not_cancel(lex):
+    words = ["Alice", "hates", "Bob"]
+    (w,) = parse(lex, words)
+    # n.L (hates, index 1) with s (index 2) is no cancelling pair
+    bad = dataclasses.replace(w, links=frozenset({(1, 2), (3, 4)}))
+    with pytest.raises(TypeMismatch):
+        grammar_diagram(words, bad, lex)
+
+
+def _witness(words, flat, links):
+    flat = parse_typelist(flat)
+    linked = {i for link in links for i in link}
+    return pregroup.ParseWitness(
+        words=tuple(words), entry_indices=(0,) * len(words), flat=flat,
+        word_of_index=(), links=frozenset(links),
+        residual=tuple(i for i in range(len(flat)) if i not in linked))
+
+
+def test_grammar_diagram_rejects_links_that_do_not_nest():
+    lexicon = lexicon_from_json({"bases": {"n": 2, "s": 2}, "words": [
+        {"word": "x", "type": "n s", "data": [1.0, 0.0, 0.0, 1.0]},
+        {"word": "y", "type": "n.L s.L", "data": [1.0, 0.0, 0.0, 1.0]},
+        {"word": "z", "type": "n.L", "data": [1.0, 0.0]}]})
+    crossed = _witness(["x", "y"], "n s n.L s.L", {(0, 2), (1, 3)})
+    covering = _witness(["x", "z"], "n s n.L", {(0, 2)})  # over residual s
+    for witness in (crossed, covering):
+        with pytest.raises(ValueError):
+            grammar_diagram(list(witness.words), witness, lexicon)
+        assert not witness.replay()
+
+
 def test_structural_entries_require_valid_types():
-    bad = {
-        "bases": {"n": 2, "s": 2},
-        "words": [{"word": "does", "type": "n.L s",
-                   "payload": "structural:copula"}],
-    }
-    lexicon = lexicon_from_json(bad)
-    with pytest.raises(PayloadMissing):
-        word_state(lexicon.lookup("does")[0], lexicon)
+    for word in [
+        {"word": "does", "type": "n.L s", "payload": "structural:copula"},
+        {"word": "not", "type": "n.L s n.R n",
+         "payload": "structural:negation", "data": [0.0, 1.0, 1.0, 0.0]},
+        {"word": "who", "type": "n.L s", "payload": "structural:relpron"},
+        {"word": "who", "type": "n", "payload": "structural:relpron"},
+    ]:
+        with pytest.raises(ValueError, match=word["type"]):
+            lexicon_from_json({"bases": {"n": 2, "s": 2}, "words": [word]})
 
 
 def test_lexicon_json_errors():

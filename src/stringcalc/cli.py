@@ -19,7 +19,7 @@ from pathlib import Path
 from . import diagram as dg
 from . import pregroup, protocols, resources, rewrite, tensors
 from .errors import (AmbiguousParse, InvalidDiagram, NoParse, StateExplosion,
-                     StringCalcError, UnknownWord)
+                     StringCalcError, UnknownBase, UnknownWord)
 from .types import typelist_str
 
 EXIT_OK = 0
@@ -31,7 +31,8 @@ EXIT_EXHAUSTED = 4
 # An error exits with the code of its nearest class here; any other
 # exception is a bug and keeps its traceback.
 EXIT_CODES = {ValueError: EXIT_INPUT, FileNotFoundError: EXIT_INPUT,
-              UnknownWord: EXIT_INPUT, InvalidDiagram: EXIT_INPUT,
+              UnknownWord: EXIT_INPUT, UnknownBase: EXIT_INPUT,
+              InvalidDiagram: EXIT_INPUT,
               AmbiguousParse: EXIT_AMBIGUOUS, StateExplosion: EXIT_EXHAUSTED,
               StringCalcError: EXIT_NEGATIVE}
 

@@ -237,27 +237,32 @@ def spider(base: str, n_in: int, m_out: int, table=None) -> Diagram:
 def permutation(types: TypeList, perm: list[int]) -> Diagram:
     """A diagram of swaps sending input ``i`` to output ``perm[i]``.
 
-    Built from adjacent transpositions, bubble-sort style.
+    One port graph with a SWAP node per adjacent transposition of a bubble
+    sort, numbered in the order the sort makes them: one per inversion.
     """
     types = tuple(types)
     if sorted(perm) != list(range(len(types))):
         raise ValueError(f"not a permutation: {perm!r}")
     current = list(range(len(types)))  # current[j] = original index at slot j
-    d = identity(types)
+    feed = [(IN, j) for j in range(len(types))]  # the port feeding slot j
+    nodes: list[Generator] = []
+    wires: list[Wire] = []
     changed = True
     while changed:
         changed = False
         for j in range(len(current) - 1):
             a, b = current[j], current[j + 1]
             if perm[a] > perm[b]:
-                layer_types = tuple(types[i] for i in current)
-                layer = identity(layer_types[:j]) @ \
-                    swap(layer_types[j], layer_types[j + 1]) @ \
-                    identity(layer_types[j + 2:])
-                d = d >> layer
+                k = len(nodes)
+                nodes.append(Generator(SWAP, (types[a], types[b]),
+                                       (types[b], types[a])))
+                wires += [feed[j] + (k, 0), feed[j + 1] + (k, 1)]
+                feed[j], feed[j + 1] = (k, 0), (k, 1)
                 current[j], current[j + 1] = b, a
                 changed = True
-    return d
+    wires += [feed[j] + (OUT, j) for j in range(len(types))]
+    return Diagram(types, tuple(types[i] for i in current), tuple(nodes),
+                   tuple(sorted(wires)))
 
 
 # -- composition ---------------------------------------------------------
@@ -304,7 +309,7 @@ def compose_par(f: Diagram, g: Diagram) -> Diagram:
     shift = len(f.nodes)
     din, dout = len(f.dom), len(f.cod)
 
-    def remap(n: int, p: int, is_src: bool) -> tuple[int, int]:
+    def remap(n: int, p: int) -> tuple[int, int]:
         if n == IN:
             return n, p + din
         if n == OUT:
@@ -313,8 +318,8 @@ def compose_par(f: Diagram, g: Diagram) -> Diagram:
 
     wires = list(f.wires)
     for sn, sp, dn, dp in g.wires:
-        (sn, sp) = remap(sn, sp, True)
-        (dn, dp) = remap(dn, dp, False)
+        (sn, sp) = remap(sn, sp)
+        (dn, dp) = remap(dn, dp)
         wires.append((sn, sp, dn, dp))
     return Diagram(f.dom + g.dom, f.cod + g.cod, f.nodes + g.nodes,
                    tuple(sorted(wires)), doubled=f.doubled)
@@ -523,8 +528,10 @@ def diagram_to_json(d: Diagram) -> dict:
 def diagram_from_json(data: dict) -> Diagram:
     """Inverse of :func:`diagram_to_json`; validates the result."""
     def types(obj, key: str, where: str, *default) -> TypeList:
-        return tuple(parse_wiretype(t)
-                     for t in require(obj, key, list, where, *default))
+        tokens = require(obj, key, list, where, *default)
+        if not all(isinstance(t, str) for t in tokens):
+            raise ValueError(f"{where} field {key!r} must list type strings")
+        return tuple(parse_wiretype(t) for t in tokens)
 
     nodes = []
     for entry in sorted(require(data, "nodes", list, "diagram", []),

@@ -323,6 +323,9 @@ def lexicon_from_json(data: dict) -> PregroupLexicon:
     """
     dims = require(data, "bases", dict, "lexicon")
     bases = {str(b): require(dims, b, int, "lexicon bases") for b in dims}
+    for b, dim in bases.items():
+        if dim < 1:
+            raise ValueError(f"lexicon bases field {b!r} must be at least 1")
     entries: dict[str, list[LexEntry]] = {}
     payloads: dict[str, Payload] = {}
     for raw in require(data, "words", list, "lexicon"):
@@ -339,7 +342,7 @@ def lexicon_from_json(data: dict) -> PregroupLexicon:
             kind = "mixed" if payload_kind == "mixed" else "pure"
             shape = tuple(bases[t.base] ** (2 if kind == "mixed" else 1)
                           for t in wtype)
-            tensor = _tensor_from_data(require(raw, "data", list, where), shape)
+            tensor = _tensor_from_data(raw, where, shape)
             payloads[ref] = Payload(tensor, kind)
             entry = LexEntry(word, wtype, ref, kind)
         elif payload_kind in STRUCTURAL_KINDS:
@@ -349,8 +352,7 @@ def lexicon_from_json(data: dict) -> PregroupLexicon:
                 shape = (bases[b], bases[b])
                 # "data" is the conventional left-acting matrix; box payloads
                 # are indexed [input, output], hence the transpose
-                matrix = _tensor_from_data(require(raw, "data", list, where),
-                                           shape)
+                matrix = _tensor_from_data(raw, where, shape)
                 payloads[ref] = Payload(Tensor(shape, matrix.data.T), "pure")
             entry = LexEntry(word, wtype, ref if ref in payloads else None,
                              payload_kind)
@@ -383,9 +385,14 @@ def load_lexicon(path) -> PregroupLexicon:
     return lexicon_from_json(json.loads(Path(path).read_text()))
 
 
-def _tensor_from_data(data, shape: tuple[int, ...]) -> Tensor:
-    flat = np.array([complex(x[0], x[1]) if isinstance(x, (list, tuple))
-                     else complex(x) for x in data])
+def _tensor_from_data(raw: dict, where: str, shape: tuple[int, ...]) -> Tensor:
+    data = require(raw, "data", list, where)
+    try:
+        flat = np.array([complex(x[0], x[1]) if isinstance(x, (list, tuple))
+                         else complex(x) for x in data])
+    except (TypeError, ValueError, IndexError):
+        raise ValueError(f"{where} field 'data' must list numbers or "
+                         "[re, im] pairs") from None
     expected = int(np.prod(shape)) if shape else 1
     if flat.size != expected:
         raise ValueError(f"payload has {flat.size} entries, shape {shape} "

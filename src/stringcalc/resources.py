@@ -68,39 +68,48 @@ def convertible(src, dst, presentation: ResourcePresentation,
     for atom in src + dst:
         if atom not in presentation.atoms:
             raise ValueError(f"undeclared atom {atom!r}")
-    if src == dst:
-        return ConversionWitness(src, dst, ())
-    parent: dict[Multiset, tuple[Multiset, int, Multiset]] = {}
+    parent: dict[Multiset, tuple[Multiset, int] | None] = {}
+    for state, how in _explore(src, presentation, max_steps, max_visited):
+        parent[state] = how
+        if state == dst:
+            steps = []
+            while how is not None:
+                prev, rule_index = how
+                lhs = presentation.rules[rule_index][0]
+                context = Counter(prev) - Counter(lhs)
+                steps.append((rule_index, as_multiset(context.elements())))
+                how = parent[prev]
+            return ConversionWitness(src, dst, tuple(reversed(steps)))
+    return None
+
+
+def _explore(src: Multiset, presentation: ResourcePresentation,
+             max_steps: int, max_visited: int):
+    """Breadth-first search from *src*, yielding each state as it is first
+    reached with ``(previous state, rule index)``, or ``None`` for *src*,
+    which comes first.  A state is yielded before the visited count is
+    checked against *max_visited*."""
+    rules = [(Counter(lhs), Counter(rhs)) for lhs, rhs in presentation.rules]
     depth = {src: 0}
     queue = deque([src])
+    yield src, None
     while queue:
         state = queue.popleft()
         if depth[state] >= max_steps:
             continue
         counts = Counter(state)
-        for rule_index, (lhs, rhs) in enumerate(presentation.rules):
-            need = Counter(lhs)
+        for rule_index, (need, gain) in enumerate(rules):
             if any(counts[a] < k for a, k in need.items()):
                 continue
-            context = counts - need
-            nxt = as_multiset((context + Counter(rhs)).elements())
+            nxt = as_multiset(((counts - need) + gain).elements())
             if nxt in depth:
                 continue
             depth[nxt] = depth[state] + 1
-            parent[nxt] = (state, rule_index, as_multiset(context.elements()))
-            if nxt == dst:
-                steps = []
-                cur = nxt
-                while cur != src:
-                    prev, idx, ctx = parent[cur]
-                    steps.append((idx, ctx))
-                    cur = prev
-                return ConversionWitness(src, dst, tuple(reversed(steps)))
+            yield nxt, (state, rule_index)
             if len(depth) > max_visited:
                 raise StateExplosion(
                     f"visited more than {max_visited} states")
             queue.append(nxt)
-    return None
 
 
 @dataclass(frozen=True)
@@ -122,7 +131,7 @@ def conversion_rate(a: str, b: str, presentation: ResourcePresentation,
                     max_visited: int = 10 ** 6) -> RateResult:
     """Best ``m / n`` over ``n <= n_max`` with ``n*a`` reaching ``m*b``.
 
-    One BFS per ``n`` collects every reachable pure-``b`` state; the
+    One search per ``n`` visits every reachable pure-``b`` state; the
     starting state itself counts (so the rate of ``a`` to ``a`` is at
     least one even without rules).
     """
@@ -130,31 +139,12 @@ def conversion_rate(a: str, b: str, presentation: ResourcePresentation,
         raise ValueError("n_max must be at least 1")
     best = RateResult(Fraction(0), 1, 0, n_max, max_steps)
     for n in range(1, n_max + 1):
-        src = as_multiset([a] * n)
-        depth = {src: 0}
-        queue = deque([src])
-        while queue:
-            state = queue.popleft()
-            if depth[state] >= max_steps:
-                continue
-            counts = Counter(state)
-            for lhs, rhs in presentation.rules:
-                need = Counter(lhs)
-                if any(counts[x] < k for x, k in need.items()):
-                    continue
-                nxt = as_multiset(((counts - need) + Counter(rhs)).elements())
-                if nxt in depth:
-                    continue
-                depth[nxt] = depth[state] + 1
-                if len(depth) > max_visited:
-                    raise StateExplosion(
-                        f"visited more than {max_visited} states")
-                queue.append(nxt)
-        for state in depth:
-            if state and all(x == b for x in state):
-                m = len(state)
-                if m >= 1 and Fraction(m, n) > best.rate:
-                    best = RateResult(Fraction(m, n), n, m, n_max, max_steps)
+        reached = _explore(as_multiset([a] * n), presentation, max_steps,
+                           max_visited)
+        for state, _ in reached:
+            m = len(state)
+            if m and all(x == b for x in state) and Fraction(m, n) > best.rate:
+                best = RateResult(Fraction(m, n), n, m, n_max, max_steps)
     return best
 
 

@@ -8,6 +8,10 @@ node count, so normalization always terminates:
   yanked straight, in either chirality;
 * swap involution -- two stacked swaps on the same wire pair cancel.
 
+Each step takes the redex with the lowest node id and rewires one live
+port map in place: the nodes are unplugged and their freed wire ends
+joined.
+
 Spiders are evaluated, never rewritten.  Equality defaults to the
 syntactic check (compare canonical normal forms); the probabilistic
 semantic check via tensor evaluation is opt-in.
@@ -15,6 +19,7 @@ semantic check via tensor evaluation is opt-in.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from . import diagram as dg
@@ -33,93 +38,80 @@ class NormalForm:
 def normalize(d: Diagram) -> NormalForm:
     """Apply the rewrite rules to exhaustion, then renumber canonically.
 
-    The rule scheduling is deterministic (first redex in canonical node
-    order), and since the rules have no overlapping redexes the result
-    is confluent: normalizing a normal form is a no-op.
+    The rule scheduling is deterministic: each step rewrites the redex
+    whose cup, first swap or identity node has the lowest node id.  The
+    rules have no overlapping redexes, so the result is confluent:
+    normalizing a normal form is a no-op.
     """
     problems = validate(d)
     if problems:
         raise InvalidDiagram("; ".join(str(v) for v in problems))
 
     nodes: dict[int, dg.Generator] = dict(enumerate(d.nodes))
-    wires: set[tuple[int, int, int, int]] = set(d.wires)
+    # the live port map: an output port to the input port it feeds, and back
+    nxt = {(sn, sp): (dn, dp) for sn, sp, dn, dp in d.wires}
+    prv = {dst: src for src, dst in nxt.items()}
     trace: list[tuple[str, tuple[int, ...]]] = []
-
-    while True:
-        step = _find_redex(nodes, wires, d)
-        if step is None:
-            break
-        trace.append(step)
+    # every node outside the heap is known not to anchor a redex; a
+    # rewrite can only change that for the nodes at the ends of its joins
+    heap = list(nodes)
+    while heap:
+        redex = _redex(heapq.heappop(heap), nodes, nxt, prv)
+        if redex is None:
+            continue
+        rule, removed, joins = redex
+        for k in removed:
+            gen = nodes.pop(k)
+            for p in range(len(gen.dom)):
+                del prv[(k, p)]
+            for p in range(len(gen.cod)):
+                del nxt[(k, p)]
+        for src, dst in joins:
+            nxt[src], prv[dst] = dst, src
+            for n in (src[0], dst[0]):
+                if n >= 0:
+                    heapq.heappush(heap, n)
+        trace.append((rule, removed))
 
     # rebuild with dense ids, then canonical renumbering
-    remap = {old: new for new, old in enumerate(sorted(nodes))}
+    remap = {old: new for new, old in enumerate(nodes)}
     packed = Diagram(
         dom=d.dom,
         cod=d.cod,
-        nodes=tuple(nodes[i] for i in sorted(nodes)),
+        nodes=tuple(nodes.values()),
         wires=tuple(sorted((remap.get(sn, sn), sp, remap.get(dn, dn), dp)
-                           for sn, sp, dn, dp in wires)),
+                           for (sn, sp), (dn, dp) in nxt.items())),
         doubled=d.doubled,
     )
     return NormalForm(packed.canonical(), tuple(trace))
 
 
-def _find_redex(nodes, wires, original) -> tuple[str, tuple[int, ...]] | None:
-    src = {(w[0], w[1]): w for w in wires}
-    dst = {(w[2], w[3]): w for w in wires}
-
-    def splice(removed: set, joins: list[tuple[tuple[int, int], tuple[int, int]]]):
-        for w in removed:
-            wires.discard(w)
-        for (sn, sp), (dn, dp) in joins:
-            wires.add((sn, sp, dn, dp))
-
-    for i in sorted(nodes):
-        gen = nodes[i]
-        if gen.kind == IDENTITY:
-            w_in = dst[(i, 0)]
-            w_out = src[(i, 0)]
-            splice({w_in, w_out}, [((w_in[0], w_in[1]), (w_out[2], w_out[3]))])
-            del nodes[i]
-            return ("identity", (i,))
-        if gen.kind == CUP:
-            w0 = src[(i, 0)]   # carries b^(z+1)
-            w1 = src[(i, 1)]   # carries b^z
-            # chirality 1: cup output 1 plugged into cap input 0
-            j, jp = w1[2], w1[3]
-            if j >= 0 and nodes.get(j) is not None and nodes[j].kind == CAP \
-                    and jp == 0 and w0[2:] != (j, 1):
-                w_other_in = dst[(j, 1)]
-                splice({w0, w1, w_other_in},
-                       [((w_other_in[0], w_other_in[1]), (w0[2], w0[3]))])
-                del nodes[i], nodes[j]
-                return ("snake", (i, j))
-            # chirality 2: cup output 0 plugged into cap input 1
-            j, jp = w0[2], w0[3]
-            if j >= 0 and nodes.get(j) is not None and nodes[j].kind == CAP \
-                    and jp == 1 and w1[2:] != (j, 0):
-                w_other_in = dst[(j, 0)]
-                splice({w0, w1, w_other_in},
-                       [((w_other_in[0], w_other_in[1]), (w1[2], w1[3]))])
-                del nodes[i], nodes[j]
-                return ("snake", (i, j))
-        if gen.kind == SWAP:
-            w0 = src[(i, 0)]
-            w1 = src[(i, 1)]
-            j = w0[2]
-            if j >= 0 and j != i and nodes.get(j) is not None \
-                    and nodes[j].kind == SWAP \
-                    and w0[2:] == (j, 0) and w1[2:] == (j, 1):
-                a_in = dst[(i, 0)]
-                b_in = dst[(i, 1)]
-                a_out = src[(j, 0)]
-                b_out = src[(j, 1)]
-                splice({w0, w1, a_in, b_in, a_out, b_out},
-                       [((a_in[0], a_in[1]), (a_out[2], a_out[3])),
-                        ((b_in[0], b_in[1]), (b_out[2], b_out[3]))])
-                del nodes[i], nodes[j]
-                return ("swap-involution", (i, j))
+def _redex(i, nodes, nxt, prv):
+    """The rule anchored at node *i*: its name, the nodes it removes and
+    the wires it joins from the freed ends, or ``None``."""
+    kind = _kind(nodes, i)
+    if kind == IDENTITY:
+        return "identity", (i,), [(prv[(i, 0)], nxt[(i, 0)])]
+    if kind == CUP:
+        # chirality 1: cup output 1 plugged into cap input 0, then
+        # chirality 2: cup output 0 plugged into cap input 1
+        for q, p in ((1, 0), (0, 1)):
+            j, jp = nxt[(i, q)]
+            if jp == p and _kind(nodes, j) == CAP \
+                    and nxt[(i, 1 - q)] != (j, 1 - p):
+                return "snake", (i, j), [(prv[(j, 1 - p)], nxt[(i, 1 - q)])]
+    if kind == SWAP:
+        j = nxt[(i, 0)][0]
+        if _kind(nodes, j) == SWAP and nxt[(i, 0)] == (j, 0) \
+                and nxt[(i, 1)] == (j, 1):
+            return "swap-involution", (i, j), [(prv[(i, 0)], nxt[(j, 0)]),
+                                               (prv[(i, 1)], nxt[(j, 1)])]
     return None
+
+
+def _kind(nodes, n: int) -> str | None:
+    gen = nodes.get(n)
+    return gen.kind if gen else None
 
 
 def equal(d1: Diagram, d2: Diagram, mode: str = "syntactic", *,

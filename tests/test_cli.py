@@ -166,9 +166,19 @@ def _lexicon_with(word):
     (["parse", "Alice"], {"bases": {"n": "two"}, "words": []}, "'n'"),
     (["rate", "A", "A"], {"atoms": ["A"], "rules": [{"from": "A", "to": []}]},
      "'from'"),
+    # wrongly typed list elements and values
+    (["normalize"], {"types": {"a": True}, "inputs": ["b"], "outputs": ["b"],
+                     "edges": [[-1, 0, -2, 0]]}, "'b'"),
+    (["normalize"], {"inputs": [1], "outputs": [1], "edges": [[-1, 0, -2, 0]]},
+     "'inputs'"),
+    (["meaning", "Alice", "--target", "n"], {"bases": {"n": 2}, "words": [
+        {"word": "Alice", "type": "n", "data": [{"re": 1}, 0.0]}]}, "'data'"),
+    (["meaning", "Alice", "--target", "n"], {"bases": {"n": 0}, "words": [
+        {"word": "Alice", "type": "n", "data": []}]}, "'n'"),
 ], ids=["copula-type", "negation-type", "relpron-no-repeat", "relpron-one-leg",
         "lexicon-no-bases", "presentation-no-rules", "node-no-kind",
-        "dimension-not-int", "rule-from-not-list"])
+        "dimension-not-int", "rule-from-not-list", "undeclared-base",
+        "wiretype-not-string", "data-not-number", "dimension-zero"])
 def test_malformed_input_exit_2_with_one_error_line(capsys, tmp_path, argv,
                                                     data, named):
     path = tmp_path / "input.json"

@@ -99,6 +99,17 @@ def test_permutation_matches_numpy_transpose():
         assert np.allclose(arr, expected)
 
 
+def test_permutation_has_one_swap_per_inversion():
+    rng = np.random.default_rng(3)
+    for width in range(9):
+        perm = [int(p) for p in rng.permutation(width)]
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(width) for j in range(i + 1, width))
+        d = dg.permutation(((A, B) * width)[:width], perm)
+        assert [g.kind for g in d.nodes] == [dg.SWAP] * inversions
+        assert validate(d) == []
+
+
 def test_permutation_rejects_non_permutation():
     with pytest.raises(ValueError):
         dg.permutation((A, A), [0, 0])

@@ -110,6 +110,24 @@ def test_rate_improves_with_larger_n():
     assert r.rate == Fraction(2, 3) and (r.n, r.m) == (3, 2)
 
 
+def test_rate_honours_max_steps():
+    # A -> C -> B B: the pure-B state lies two steps out
+    chain = presentation_from_json(
+        {"atoms": ["A", "B", "C"],
+         "rules": [{"from": ["A"], "to": ["C"]},
+                   {"from": ["C"], "to": ["B", "B"]}]})
+    assert conversion_rate("A", "B", chain, n_max=1, max_steps=1).rate == 0
+    r = conversion_rate("A", "B", chain, n_max=1, max_steps=2)
+    assert r.rate == 2 and r.max_steps == 2
+
+
+def test_rate_honours_max_visited():
+    # three copies of A reach AAA, AABB, ABBBB and BBBBBB: four states
+    assert conversion_rate("A", "B", DOUBLER, n_max=3, max_visited=4).rate == 2
+    with pytest.raises(StateExplosion, match="visited more than 3 states"):
+        conversion_rate("A", "B", DOUBLER, n_max=3, max_visited=3)
+
+
 def test_rate_requires_positive_nmax():
     with pytest.raises(ValueError):
         conversion_rate("A", "B", DOUBLER, n_max=0)

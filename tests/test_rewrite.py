@@ -4,13 +4,15 @@ import pytest
 from conftest import brute_force_evaluate, random_diagram
 
 from stringcalc import diagram as dg
-from stringcalc.diagram import Diagram, identity, identity_node
+from stringcalc.diagram import (CAP, CUP, IDENTITY, IN, OUT, SWAP, Diagram,
+                                Generator, identity, identity_node, validate)
 from stringcalc.errors import InvalidDiagram, ShapeMismatch
 from stringcalc.rewrite import equal, normalize
 from stringcalc.tensors import Model, Payload, Tensor, evaluate, random_payloads
 from stringcalc.types import WireType
 
 A = WireType("a")
+B = WireType("b")
 
 
 def snake_left(base="a"):
@@ -141,3 +143,44 @@ def test_equal_semantic_distinguishes_cup_from_product():
 def test_equal_unknown_mode():
     with pytest.raises(ValueError):
         equal(identity((A,)), identity((A,)), mode="telepathy")
+
+
+def _mixed_redexes():
+    """An identity node inside a snake and one between stacked swaps, so
+    that lower ids become redexes only after higher ones are rewritten."""
+    nodes = (
+        Generator(SWAP, (A, B), (B, A)),       # 0: cancels 3 once 5 is gone
+        Generator(CUP, (), (A.l, A)),          # 1: snake with 2 once 4 is gone
+        Generator(CAP, (A, A.l), ()),          # 2
+        Generator(SWAP, (B, A), (A, B)),       # 3
+        Generator(IDENTITY, (A.l,), (A.l,)),   # 4
+        Generator(IDENTITY, (B,), (B,)),       # 5
+        Generator(CUP, (), (A, A.r)),          # 6: snake of the other chirality
+        Generator(CAP, (A.r, A), ()),          # 7
+    )
+    wires = ((IN, 0, 0, 0), (IN, 1, 0, 1), (0, 0, 5, 0), (5, 0, 3, 0),
+             (0, 1, 3, 1), (3, 0, 2, 0), (1, 0, 4, 0), (4, 0, 2, 1),
+             (1, 1, OUT, 0), (3, 1, OUT, 1),
+             (IN, 2, 7, 1), (6, 1, 7, 0), (6, 0, OUT, 2))
+    return Diagram((A, B, A), (A, B, A), nodes, tuple(sorted(wires)))
+
+
+def test_normalize_takes_the_lowest_redex_first():
+    d = _mixed_redexes()
+    assert validate(d) == []
+    nf = normalize(d)
+    assert nf.rewrite_trace == (
+        ("identity", (4,)), ("snake", (1, 2)), ("identity", (5,)),
+        ("swap-involution", (0, 3)), ("snake", (6, 7)))
+    assert nf.diagram == identity((A, B, A))
+
+
+@pytest.mark.parametrize("width", range(2, 13))
+def test_reversal_cancels_one_swap_pair_per_inversion(width):
+    types = tuple(WireType("ab"[k % 2], k % 3 - 1) for k in range(width))
+    perm = list(reversed(range(width)))
+    p = dg.permutation(types, perm)
+    nf = normalize(p >> dg.permutation(p.cod, perm))
+    assert nf.diagram == identity(types)
+    assert [rule for rule, _ in nf.rewrite_trace] == \
+        ["swap-involution"] * (width * (width - 1) // 2)

@@ -3,11 +3,13 @@
 
 def require(obj, key: str, kind: type, where: str, default=None):
     """``obj[key]``, or *default* if given and the key is absent, checked
-    to be a *kind*: a malformed JSON field is a ``ValueError`` naming it."""
+    to be a *kind*: a malformed JSON field is a ``ValueError`` naming it.
+    JSON ``true`` and ``false`` are no ``int``, though ``bool`` is a
+    subclass of it."""
     if not isinstance(obj, dict) or (key not in obj and default is None):
         raise ValueError(f"{where} has no {key!r} field")
     value = obj.get(key, default)
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool) and kind is int:
         raise ValueError(f"{where} field {key!r} must be {kind.__name__}, "
                          f"got {type(value).__name__}")
     return value

@@ -3,8 +3,16 @@
 A sentence parses when the concatenated word types reduce to the target
 (usually the sentence type ``s``) by cancelling adjacent pairs
 ``(b^z, b^(z+1))``.  The cancellation links form non-crossing nested
-arcs, and everything strictly under an arc is itself fully cancelled,
-so the parser enumerates witnesses with a memoized span recursion.
+arcs, and everything strictly under an arc is itself fully cancelled.
+
+:func:`parse` tries the entry combinations in lexicon order.  A link
+cancels ``(-1)^z + (-1)^(z+1) = 0`` of its base's charge, the sum of
+``(-1)^z`` over the wires of that base, so only a combination whose
+charge per base equals the target's can reduce to it (count invariance,
+van Benthem, *Language in Action*); the others are skipped unparsed.
+For the rest, one right-to-left pass fills two bitset tables, which
+spans cancel fully and which suffixes reduce to which target suffixes,
+and witnesses are enumerated only through the cells they mark viable.
 
 :func:`grammar_diagram` turns a witness into one port graph: word
 states side by side, one cap per link.  Structural entries ("does",
@@ -93,20 +101,30 @@ def parse(lexicon: PregroupLexicon, words: list[str],
 
     Entry combinations are enumerated in lexicon order, capped at
     ``max_combinations``; within one combination, witnesses come out in
-    leftmost-link order.
+    leftmost-link order.  The cap counts every combination, also those
+    whose per-base charge differs from the target's: they cannot reduce
+    to it and are skipped without calling :func:`_reductions`.
     """
     if isinstance(target, str):
         target = parse_typelist(target)
     target = tuple(target)
-    choices = [range(len(lexicon.lookup(w))) for w in words]
+    entries = [lexicon.lookup(w) for w in words]
+    bases = sorted({t.base for t in target}.union(
+        *({t.base for t in e.type} for es in entries for e in es)))
+    owed = tuple(-c for c in _charge(target, bases))
+    charges = [[_charge(e.type, bases) for e in es] for es in entries]
     witnesses: list[ParseWitness] = []
-    for combo in islice(product(*choices), max_combinations):
+    for combo in islice(product(*(range(len(es)) for es in entries)),
+                        max_combinations):
+        if any(map(sum, zip(owed, *(charges[pos][k]
+                                    for pos, k in enumerate(combo))))):
+            continue  # its charge differs from the target's in some base
         flat: list[WireType] = []
         word_of_index: list[int] = []
-        for pos, (word, k) in enumerate(zip(words, combo)):
-            entry = lexicon.entries[word][k]
-            flat.extend(entry.type)
-            word_of_index.extend([pos] * len(entry.type))
+        for pos, k in enumerate(combo):
+            types = entries[pos][k].type
+            flat.extend(types)
+            word_of_index.extend([pos] * len(types))
         for links in _reductions(tuple(flat), target):
             linked = {i for link in links for i in link}
             residual = tuple(i for i in range(len(flat)) if i not in linked)
@@ -121,53 +139,86 @@ def parse(lexicon: PregroupLexicon, words: list[str],
     return witnesses
 
 
+def _charge(types: TypeList, bases: list[str]) -> tuple[int, ...]:
+    """The sum of ``(-1)^z`` over the wires of each base, in *bases* order."""
+    return tuple(sum(1 - 2 * (t.z % 2) for t in types if t.base == b)
+                 for b in bases)
+
+
 def _reductions(flat: TypeList, target: TypeList) -> list[frozenset]:
-    """All link sets reducing `flat` to exactly `target`."""
+    """All link sets reducing *flat* to exactly *target*, sorted.
 
-    n = len(flat)
-
-    def linkable(i: int, j: int) -> bool:
-        return flat[i].base == flat[j].base and flat[j].z == flat[i].z + 1
+    Bitsets are Python ints.  ``empty[i]`` has bit ``j`` when the span
+    ``[i, j)`` cancels fully, and ``reach[p]`` has bit ``t`` when
+    ``[p, n)`` reduces to ``target[t:]``.  A link from ``i`` closes at a
+    ``k`` of ``empty[i + 1]`` whose type is ``flat[i].l``, so both tables
+    fill in one right-to-left pass.  Link sets are then built only
+    through the cells the tables mark viable.
+    """
+    n, m = len(flat), len(target)
+    at = _indices(flat)
+    closers = [at.get(t.l, 0) for t in flat]  # where a link from i can close
+    in_target = _indices(target)
+    empty = [0] * n + [1 << n]
+    reach = [0] * n + [1 << m]
+    for i in range(n - 1, -1, -1):
+        e, r = 1 << i, reach[i + 1] >> 1 & in_target.get(flat[i], 0)
+        for k in _bits(empty[i + 1] & closers[i]):
+            e |= empty[k + 1]
+            r |= reach[k + 1]
+        empty[i], reach[i] = e, r
+    if not reach[0] & 1:
+        return []
 
     @lru_cache(maxsize=None)
-    def empty_matchings(i: int, j: int) -> tuple[frozenset, ...]:
-        """All full cancellations of the span [i, j)."""
+    def cancel(i: int, j: int) -> tuple[frozenset, ...]:
+        """All full cancellations of the span [i, j), given j in empty[i]."""
         if i == j:
             return (frozenset(),)
-        if (j - i) % 2:
-            return ()
         out = []
-        for k in range(i + 1, j, 2):
-            if not linkable(i, k):
-                continue
-            for inner in empty_matchings(i + 1, k):
-                for rest in empty_matchings(k + 1, j):
-                    out.append(inner | rest | {(i, k)})
-        return tuple(dict.fromkeys(out))
+        for k in _bits(empty[i + 1] & closers[i] & ((1 << j) - 1)):
+            if empty[k + 1] >> j & 1:
+                for inner in cancel(i + 1, k):
+                    for rest in cancel(k + 1, j):
+                        out.append(inner | rest | {(i, k)})
+        return tuple(out)
 
     @lru_cache(maxsize=None)
-    def tail(pos: int, ti: int) -> tuple[frozenset, ...]:
-        """Link sets covering [pos, n) with target suffix target[ti:]."""
-        if pos == n:
-            return (frozenset(),) if ti == len(target) else ()
+    def tail(p: int, t: int) -> tuple[frozenset, ...]:
+        """All link sets reducing [p, n) to target[t:], given t in reach[p]."""
+        if p == n:
+            return (frozenset(),)
         out = []
-        if ti < len(target) and flat[pos] == target[ti]:
-            out.extend(tail(pos + 1, ti + 1))
-        for j in range(pos + 1, n, 2):
-            if not linkable(pos, j):
-                continue
-            inners = empty_matchings(pos + 1, j)
-            if not inners:
-                continue
-            for rest in tail(j + 1, ti):
-                for inner in inners:
-                    out.append(inner | rest | {(pos, j)})
-        return tuple(dict.fromkeys(out))
+        if t < m and flat[p] == target[t] and reach[p + 1] >> (t + 1) & 1:
+            out.extend(tail(p + 1, t + 1))
+        for k in _bits(empty[p + 1] & closers[p]):
+            if reach[k + 1] >> t & 1:
+                inners = cancel(p + 1, k)
+                for rest in tail(k + 1, t):
+                    for inner in inners:
+                        out.append(inner | rest | {(p, k)})
+        return tuple(out)
 
     result = tail(0, 0)
     tail.cache_clear()
-    empty_matchings.cache_clear()
-    return sorted(result, key=lambda ls: sorted(ls))
+    cancel.cache_clear()
+    return sorted(result, key=sorted)
+
+
+def _indices(types: TypeList) -> dict[WireType, int]:
+    """Each wire type of *types* mapped to the bitset of its indices."""
+    out: dict[WireType, int] = {}
+    for k, t in enumerate(types):
+        out[t] = out.get(t, 0) | 1 << k
+    return out
+
+
+def _bits(mask: int):
+    """The indices of the set bits of *mask*, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def residual_report(lexicon: PregroupLexicon, words: list[str],
@@ -388,13 +439,25 @@ def load_lexicon(path) -> PregroupLexicon:
 def _tensor_from_data(raw: dict, where: str, shape: tuple[int, ...]) -> Tensor:
     data = require(raw, "data", list, where)
     try:
-        flat = np.array([complex(x[0], x[1]) if isinstance(x, (list, tuple))
-                         else complex(x) for x in data])
-    except (TypeError, ValueError, IndexError):
+        arr = np.array(data)
+    except ValueError:  # ragged: [re, im] pairs mixed with bare reals
+        arr = np.array([_pair(x) for x in data])
+    if arr.dtype.kind not in "iuf" or arr.shape[1:] not in ((), (2,)):
         raise ValueError(f"{where} field 'data' must list numbers or "
-                         "[re, im] pairs") from None
+                         "[re, im] pairs")
+    flat = arr.astype(float).view(complex) if arr.ndim == 2 \
+        else arr.astype(complex)
     expected = int(np.prod(shape)) if shape else 1
     if flat.size != expected:
         raise ValueError(f"payload has {flat.size} entries, shape {shape} "
                          f"needs {expected}")
     return Tensor(shape, flat.reshape(shape))
+
+
+def _pair(x) -> list:
+    """One element of a ragged ``data`` list as ``[re, im]``, or as
+    ``[None, None]``, which fails the caller's dtype check, when it is
+    neither a number nor a pair of numbers."""
+    pair = x if isinstance(x, list) and len(x) == 2 else [x, 0]
+    return pair if all(isinstance(v, (int, float)) for v in pair) \
+        else [None, None]

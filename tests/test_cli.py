@@ -175,10 +175,18 @@ def _lexicon_with(word):
         {"word": "Alice", "type": "n", "data": [{"re": 1}, 0.0]}]}, "'data'"),
     (["meaning", "Alice", "--target", "n"], {"bases": {"n": 0}, "words": [
         {"word": "Alice", "type": "n", "data": []}]}, "'n'"),
+    (["meaning", "Alice", "--target", "n"], {"bases": {"n": True}, "words": [
+        {"word": "Alice", "type": "n", "data": [1.0]}]}, "'n'"),
+    (["meaning", "Alice", "--target", "n"], {"bases": {"n": 2}, "words": [
+        {"word": "Alice", "type": "n", "data": [[1, 0, 5], 0.5]}]},
+     "'data'"),
+    (["meaning", "Alice", "--target", "n"], {"bases": {"n": 2}, "words": [
+        {"word": "Alice", "type": "n", "data": ["2", 1.0]}]}, "'data'"),
 ], ids=["copula-type", "negation-type", "relpron-no-repeat", "relpron-one-leg",
         "lexicon-no-bases", "presentation-no-rules", "node-no-kind",
         "dimension-not-int", "rule-from-not-list", "undeclared-base",
-        "wiretype-not-string", "data-not-number", "dimension-zero"])
+        "wiretype-not-string", "data-not-number", "dimension-zero",
+        "dimension-bool", "data-pair-of-three", "data-numeric-string"])
 def test_malformed_input_exit_2_with_one_error_line(capsys, tmp_path, argv,
                                                     data, named):
     path = tmp_path / "input.json"

@@ -1,4 +1,5 @@
 import dataclasses
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -302,14 +303,134 @@ def test_mixed_word_entropy():
     assert abs(entropy(t) - 1.0) < 1e-12
 
 
+def _random_type(rng, bases=("n", "s", "p")):
+    return WireType(str(rng.choice(bases)), int(rng.integers(-2, 3)))
+
+
+def _reducible_flat(rng, target, size):
+    """*target* with cancelling pairs inserted until it has *size* types,
+    then, one time in four, one type replaced at random."""
+    flat = list(target)
+    while len(flat) < size:
+        k = int(rng.integers(0, len(flat) + 1))
+        t = _random_type(rng, ("n", "s"))
+        flat[k:k] = [t, t.l]
+    if flat and rng.random() < 0.25:
+        flat[int(rng.integers(0, len(flat)))] = _random_type(rng)
+    return tuple(flat)
+
+
+TARGETS = [parse_typelist(t) for t in ("s", "n", "s p.L", "n.R s n")] + [()]
+
+
 def test_random_flat_strings_parser_vs_oracle():
     rng = np.random.default_rng(17)
-    bases = ["n", "s", "p"]
     target = (WireType("s"),)
     for trial in range(60):
-        flat = tuple(WireType(str(rng.choice(bases)),
-                              int(rng.integers(-2, 3)))
-                     for _ in range(int(rng.integers(1, 9))))
+        flat = tuple(_random_type(rng) for _ in range(int(rng.integers(1, 9))))
         got = set(pregroup._reductions(flat, target))
         want = oracle_linksets(flat, target)
         assert got == want, (flat, got, want)
+    found = 0
+    for trial in range(400):
+        target = TARGETS[trial % len(TARGETS)]
+        flat = _reducible_flat(rng, target, int(rng.integers(1, 13)))
+        if trial % 2:  # not built from this target
+            target = TARGETS[int(rng.integers(0, len(TARGETS)))]
+        got = pregroup._reductions(flat, target)
+        want = oracle_linksets(flat, target)
+        assert got == sorted(want, key=sorted), (flat, target)
+        found += len(got)
+    assert found > 150
+
+
+ENTRY_TYPES = [parse_typelist(t) for t in (
+    "n", "n.L s", "n.L s n.R", "n n.R", "n.R n", "s n.L", "p", "n.L p",
+    "s.L s", "s s.R")]
+
+
+def _random_lexicon(rng, n_words=4):
+    """Words of two or three entries: mostly common types, else one to
+    three random ones."""
+    def entry_type():
+        if rng.random() < 0.7:
+            return ENTRY_TYPES[int(rng.integers(0, len(ENTRY_TYPES)))]
+        return tuple(_random_type(rng) for _ in range(int(rng.integers(1, 4))))
+
+    return pregroup.PregroupLexicon(bases={"n": 2, "s": 2, "p": 2}, entries={
+        f"w{w}": tuple(pregroup.LexEntry(f"w{w}", entry_type(), None, "pure")
+                       for _ in range(int(rng.integers(2, 4))))
+        for w in range(n_words)})
+
+
+def test_parse_of_random_ambiguous_lexicons_vs_oracle():
+    """Witnesses in order: per capped entry combination, the sorted
+    oracle link sets of its flat string."""
+    rng = np.random.default_rng(5)
+    found = 0
+    for trial in range(300):
+        lexicon = _random_lexicon(rng)
+        words = [f"w{int(rng.integers(0, 4))}"
+                 for _ in range(int(rng.integers(1, 5)))]
+        if trial % 2:
+            target = TARGETS[trial % len(TARGETS)]
+        else:  # what one combination is left with after greedy cancelling
+            report = residual_report(lexicon, words)
+            target = parse_typelist(report[int(rng.integers(0, len(report)))][1])
+        cap = int(rng.choice([1, 2, 3, 5, 64]))
+        choices = [range(len(lexicon.lookup(w))) for w in words]
+        want = []
+        for combo in islice(product(*choices), cap):
+            flat = tuple(t for w, k in zip(words, combo)
+                         for t in lexicon.lookup(w)[k].type)
+            want += [(combo, flat, links) for links in
+                     sorted(oracle_linksets(flat, target), key=sorted)]
+        got = [(w.entry_indices, w.flat, w.links)
+               for w in parse(lexicon, words, target, max_combinations=cap)]
+        assert got == want, (words, target, cap)
+        found += len(got)
+    assert found > 50
+
+
+def test_charge_mismatch_never_reaches_reductions(monkeypatch):
+    lexicon = lexicon_from_json({"bases": {"n": 2, "s": 2}, "words": [
+        {"word": "stone", "type": "n", "data": [0.0, 1.0]},
+        {"word": "fish", "type": "n", "data": [1.0, 0.0]},
+        {"word": "fish", "type": "n.L s", "data": [0.1, 0.2, 0.3, 0.4]}]})
+    flats = []
+
+    def counted(flat, target):
+        flats.append(flat)
+        return reductions(flat, target)
+
+    reductions = pregroup._reductions
+    monkeypatch.setattr(pregroup, "_reductions", counted)
+    # "n n" has charge n: 2, s: 0 and the target s has n: 0, s: 1
+    assert [w.entry_indices for w in parse(lexicon, ["stone", "fish"])] == \
+        [(0, 1)]
+    assert flats == [parse_typelist("n n.L s")]
+    # the cap counts the skipped combination too
+    assert parse(lexicon, ["stone", "fish"], max_combinations=1) == []
+    assert flats == [parse_typelist("n n.L s")]
+
+
+@pytest.mark.parametrize("data", [
+    [[1, 0, 5], [0, 1, 0]], [[1, 0], "2"], [[1, "2"], [0, 1]], [True, False],
+    [[[1, 0]], [[0, 1]]],
+])
+def test_data_elements_must_be_numbers_or_pairs(data):
+    with pytest.raises(ValueError, match="'data'"):
+        lexicon_from_json({"bases": {"n": 2}, "words": [
+            {"word": "x", "type": "n", "data": data}]})
+
+
+@pytest.mark.parametrize("data", [
+    [1, -0.0], [[1, 0], [-0.0, 2.5]], [[1, -0.0], 0.5], [-3, [0.25, -1]],
+])
+def test_data_converts_like_complex_per_element(data):
+    lexicon = lexicon_from_json({"bases": {"n": 2}, "words": [
+        {"word": "x", "type": "n", "data": data}]})
+    got = lexicon.payloads["word:x:0"].tensor.data
+    want = np.array([complex(*x) if isinstance(x, list) else complex(x)
+                     for x in data])
+    assert got.tobytes() == want.tobytes()

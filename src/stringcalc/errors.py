@@ -76,7 +76,9 @@ class NoParse(StringCalcError):
 
 
 class StateExplosion(StringCalcError):
-    """Reachability search exceeded its visited-state cap."""
+    """A search or an allocation would exceed its bound: reachability
+    search past its visited-state cap, or tensor evaluation past its
+    element budget before numpy allocates."""
 
 
 class VerificationFailure(StringCalcError):

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import islice, product
 from pathlib import Path
 
@@ -170,39 +169,47 @@ def _reductions(flat: TypeList, target: TypeList) -> list[frozenset]:
     if not reach[0] & 1:
         return []
 
-    @lru_cache(maxsize=None)
-    def cancel(i: int, j: int) -> tuple[frozenset, ...]:
-        """All full cancellations of the span [i, j), given j in empty[i]."""
-        if i == j:
-            return (frozenset(),)
+    def ways(cell) -> list[tuple[tuple, tuple]]:
+        """Each ``(links, cells)`` that builds a link set of *cell*: the
+        links plus one link set of each of the cells.  A cell ``("tail",
+        p, t)`` holds the link sets reducing ``[p, n)`` to ``target[t:]``,
+        given ``t`` in ``reach[p]``; a cell ``("cancel", i, j)`` those
+        cancelling ``[i, j)`` fully, given ``j`` in ``empty[i]``."""
+        kind, i, j = cell
+        if kind == "cancel":
+            if i == j:
+                return [((), ())]
+            return [(((i, k),), (("cancel", i + 1, k), ("cancel", k + 1, j)))
+                    for k in _bits(empty[i + 1] & closers[i] & ((1 << j) - 1))
+                    if empty[k + 1] >> j & 1]
+        if i == n:
+            return [((), ())]
         out = []
-        for k in _bits(empty[i + 1] & closers[i] & ((1 << j) - 1)):
-            if empty[k + 1] >> j & 1:
-                for inner in cancel(i + 1, k):
-                    for rest in cancel(k + 1, j):
-                        out.append(inner | rest | {(i, k)})
-        return tuple(out)
+        if j < m and flat[i] == target[j] and reach[i + 1] >> (j + 1) & 1:
+            out.append(((), (("tail", i + 1, j + 1),)))
+        out += [(((i, k),), (("cancel", i + 1, k), ("tail", k + 1, j)))
+                for k in _bits(empty[i + 1] & closers[i])
+                if reach[k + 1] >> j & 1]
+        return out
 
-    @lru_cache(maxsize=None)
-    def tail(p: int, t: int) -> tuple[frozenset, ...]:
-        """All link sets reducing [p, n) to target[t:], given t in reach[p]."""
-        if p == n:
-            return (frozenset(),)
-        out = []
-        if t < m and flat[p] == target[t] and reach[p + 1] >> (t + 1) & 1:
-            out.extend(tail(p + 1, t + 1))
-        for k in _bits(empty[p + 1] & closers[p]):
-            if reach[k + 1] >> t & 1:
-                inners = cancel(p + 1, k)
-                for rest in tail(k + 1, t):
-                    for inner in inners:
-                        out.append(inner | rest | {(p, k)})
-        return tuple(out)
-
-    result = tail(0, 0)
-    tail.cache_clear()
-    cancel.cache_clear()
-    return sorted(result, key=sorted)
+    # depth-first with an explicit stack, so the span length never meets
+    # the recursion limit; a cell is built once all its parts are
+    built: dict[tuple, list[frozenset]] = {}
+    stack = [("tail", 0, 0)]
+    while stack:
+        cell = stack[-1]
+        if cell in built:
+            stack.pop()
+            continue
+        options = ways(cell)
+        missing = [c for _, cells in options for c in cells if c not in built]
+        if missing:
+            stack += missing
+            continue
+        stack.pop()
+        built[cell] = [frozenset(links).union(*parts) for links, cells in options
+                       for parts in product(*(built[c] for c in cells))]
+    return sorted(built[("tail", 0, 0)], key=sorted)
 
 
 def _indices(types: TypeList) -> dict[WireType, int]:
@@ -442,7 +449,10 @@ def _tensor_from_data(raw: dict, where: str, shape: tuple[int, ...]) -> Tensor:
         arr = np.array(data)
     except ValueError:  # ragged: [re, im] pairs mixed with bare reals
         arr = np.array([_pair(x) for x in data])
-    if arr.dtype.kind not in "iuf" or arr.shape[1:] not in ((), (2,)):
+    # numpy reads a JSON boolean among numbers as exactly 0 or 1, so only
+    # then is the list scanned for one
+    if arr.dtype.kind not in "iuf" or arr.shape[1:] not in ((), (2,)) \
+            or ((arr == 0) | (arr == 1)).any() and _holds_bool(data):
         raise ValueError(f"{where} field 'data' must list numbers or "
                          "[re, im] pairs")
     flat = arr.astype(float).view(complex) if arr.ndim == 2 \
@@ -452,6 +462,13 @@ def _tensor_from_data(raw: dict, where: str, shape: tuple[int, ...]) -> Tensor:
         raise ValueError(f"payload has {flat.size} entries, shape {shape} "
                          f"needs {expected}")
     return Tensor(shape, flat.reshape(shape))
+
+
+def _holds_bool(data: list) -> bool:
+    """Whether a JSON ``true`` or ``false`` is an element of *data* or of
+    one of its pairs."""
+    return any(isinstance(v, bool) for x in data
+               for v in (x if isinstance(x, list) else (x,)))
 
 
 def _pair(x) -> list:

@@ -15,12 +15,22 @@ Pairs of operands that share a label are contracted greedily, smallest
 result first, from a heap (the greedy path of opt_einsum); disconnected
 parts join by outer product.  The result does not depend on the order.
 
-Thick-wire (density-matrix) semantics pairs every wire with a conjugate
-copy: wire dimensions square and pure payloads become ``T (x) conj(T)``
-with the paired axes interleaved.  Structural generators double
-componentwise, which leaves them the same wiring over the squared
-index.  Payloads flagged ``mixed`` already live on thick wires and are
-used unchanged.
+Thick-wire (density-matrix) semantics is the CPM double (Selinger): every
+wire is paired with a conjugate copy.  When every payload is pure, the
+doubled network is the thin one (the ket layer) beside its conjugate
+(the bra layer), with no wire between the two.  So thick evaluation
+contracts at thin dimensions and doubles the result once, ``T (x)
+conj(T)`` with the paired axes interleaved; the scalar becomes
+``s conj(s)`` and a closed loop counts ``d * d``.  A payload flagged
+``mixed`` already lives on thick wires and joins the two layers.  A
+diagram holding one is contracted at squared dimensions, every pure
+payload doubled, since regrouping its sums into two thin layers moves
+the last bit of the results.
+
+Every array that evaluation builds (a pair contraction, an outer
+product, a boundary identity, a doubled payload or result) is checked
+against ``MAX_ELEMENTS`` first; a larger one raises ``StateExplosion``
+before numpy allocates it.
 """
 
 from __future__ import annotations
@@ -35,13 +45,19 @@ import numpy as np
 from .diagram import (BOX, CAP, CUP, IDENTITY, IN, OUT, SPIDER, SWAP,
                       Diagram, validate)
 from .errors import (DimensionMismatch, InvalidDiagram, MissingPayload,
-                     NotHermitian, NotSquare, ShapeMismatch, ZeroNorm)
+                     NotHermitian, NotSquare, ShapeMismatch, StateExplosion,
+                     ZeroNorm)
 
 __all__ = [
     "Tensor", "Payload", "Model",
     "evaluate", "double", "entropy", "similarity",
     "tensor_to_json", "tensor_from_json", "random_payloads",
 ]
+
+#: The most complex elements (1 GiB of complex128) that one array built
+#: during evaluation may hold; a larger one raises ``StateExplosion``
+#: before numpy allocates it.
+MAX_ELEMENTS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -131,10 +147,9 @@ def evaluate(d: Diagram, model: Model) -> Tensor:
 
     def wdim(base: str) -> int:
         try:
-            dim = model.dims[base]
+            return model.dims[base]
         except KeyError:
             raise DimensionMismatch(f"base {base!r} has no dimension") from None
-        return dim * dim if thick else dim
 
     # every wire starts as its own class; structural nodes merge classes
     wire_dim = [wdim(d.src_type(sn, sp).base) for sn, sp, _, _ in d.wires]
@@ -190,23 +205,43 @@ def evaluate(d: Diagram, model: Model) -> Tensor:
 
     scalar = 1.0 + 0.0j
     operands: list[tuple[list[int], np.ndarray]] = []
+    mixed: set[int] = set()  # operands whose payload is a thick-wire array
     for i, legs in boxes:
-        arr, s = _box_array(d.nodes[i], model, thick)
-        scalar *= s
+        payload = _payload(d.nodes[i], model)
+        arr, s = payload.tensor.data, payload.tensor.scalar
         expected = tuple(wire_dim[k] for k in legs)
+        if payload.kind == "mixed":
+            if not thick:
+                raise DimensionMismatch(f"mixed payload {d.nodes[i].payload!r} "
+                                        "needs thick-wire semantics")
+            mixed.add(len(operands))
+            expected = tuple(x * x for x in expected)
+        elif thick:
+            s = s * np.conj(s)
+        scalar *= s
         if arr.shape != expected:
             raise DimensionMismatch(
                 f"payload for node {i} ({d.nodes[i].name or BOX}) has shape "
                 f"{arr.shape}, expected {expected}")
         operands.append(([label(k) for k in legs], arr))
 
+    ports = [label(k) for k in bound_in + bound_out]
+    if mixed:
+        # a mixed payload lives on thick wires, so the network is built
+        # at squared dimensions with every pure payload doubled
+        dims = [x * x for x in dims]
+        for k, (labels, arr) in enumerate(operands):
+            if k not in mixed:
+                _check_budget(arr.size ** 2, "a doubled payload")
+                operands[k] = (labels, double_array(arr))
+
     # an open label repeated on the boundary is joined to its copies by deltas
     output: list[int] = []
-    for k in bound_in + bound_out:
-        lbl = label(k)
+    for lbl in ports:
         if lbl in output:
             copy = len(dims)
             dims.append(dims[lbl])
+            _check_budget(dims[lbl] ** 2, "a boundary identity")
             operands.append(([lbl, copy], np.eye(dims[lbl], dtype=complex)))
             lbl = copy
         output.append(lbl)
@@ -220,30 +255,36 @@ def evaluate(d: Diagram, model: Model) -> Tensor:
         if root not in label_of:
             loops *= wire_dim[root]
 
-    labels, result = _contract(operands, output, dims)
-    result = result.transpose([labels.index(l) for l in output])
+    result = _contract(operands, output, dims)
+    if thick and not mixed:
+        # the double of a pure network is its ket layer beside its
+        # conjugate bra layer, with no wire between the two
+        _check_budget(result.size ** 2, "the doubled result")
+        result = double_array(result)
+    if thick:
+        loops *= loops  # a thick loop is a ket loop beside a bra loop
     if loops != 1:
         result = result * loops
     return Tensor(result.shape, result, scalar)
 
 
-def _box_array(gen, model: Model, thick: bool) -> tuple[np.ndarray, complex]:
+def _payload(gen, model: Model) -> Payload:
     ref = gen.payload or "box:" + repr(gen.signature())
     if ref not in model.payloads:
         raise MissingPayload(
             f"box {gen.name!r} has no payload ({gen.payload!r})")
-    payload = model.payloads[ref]
-    arr, s = payload.tensor.data, payload.tensor.scalar
-    if thick and payload.kind == "pure":
-        return double_array(arr), s * np.conj(s)
-    if not thick and payload.kind == "mixed":
-        raise DimensionMismatch(
-            f"mixed payload {gen.payload!r} needs thick-wire semantics")
-    return arr, s
+    return model.payloads[ref]
+
+
+def _check_budget(elements: int, what: str) -> None:
+    """``StateExplosion`` before numpy is asked for more than the budget."""
+    if elements > MAX_ELEMENTS:
+        raise StateExplosion(f"{what} needs {elements} complex elements, over "
+                             f"the budget of {MAX_ELEMENTS}")
 
 
 def _contract(operands, output: list[int], dims: list[int]):
-    """Contract labelled operands down to one over the *output* labels.
+    """Contract labelled operands to one array, its axes in *output* order.
 
     Greedy, as in opt_einsum: among pairs of operands that share a label,
     contract the one with the smallest result first.  Candidate pairs sit
@@ -300,6 +341,7 @@ def _contract(operands, output: list[int], dims: list[int]):
         kept = [l for l in shared if l in keep or holders[l]]
         out = [l for l in la if l not in shared or l in kept] + \
               [l for l in lb if l not in shared]
+        _check_budget(math.prod(dims[l] for l in out), "a pair contraction")
         if kept:
             merged = _einsum(out, (a, la), (b, lb))
         else:  # BLAS-backed; its result axes are already in `out` order
@@ -314,11 +356,12 @@ def _contract(operands, output: list[int], dims: list[int]):
     # disconnected parts join by outer product, smallest first
     rest = sorted(ops.values(), key=lambda op: op[1].size)
     if not rest:
-        return [], np.array(1.0 + 0.0j)
+        return np.array(1.0 + 0.0j)
     labels, result = rest[0]
     for la, a in rest[1:]:
+        _check_budget(result.size * a.size, "an outer product")
         labels, result = labels + la, np.multiply.outer(result, a)
-    return labels, result
+    return result.transpose([labels.index(l) for l in output])
 
 
 def _einsum(out: list[int], *operands) -> np.ndarray:

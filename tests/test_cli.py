@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import stringcalc
+from stringcalc import tensors
 from stringcalc.cli import main
 
 DATA = Path(stringcalc.__file__).parent / "data"
@@ -182,11 +183,14 @@ def _lexicon_with(word):
      "'data'"),
     (["meaning", "Alice", "--target", "n"], {"bases": {"n": 2}, "words": [
         {"word": "Alice", "type": "n", "data": ["2", 1.0]}]}, "'data'"),
+    (["meaning", "Alice", "--target", "n"], {"bases": {"n": 2}, "words": [
+        {"word": "Alice", "type": "n", "data": [True, 0.5]}]}, "'data'"),
 ], ids=["copula-type", "negation-type", "relpron-no-repeat", "relpron-one-leg",
         "lexicon-no-bases", "presentation-no-rules", "node-no-kind",
         "dimension-not-int", "rule-from-not-list", "undeclared-base",
         "wiretype-not-string", "data-not-number", "dimension-zero",
-        "dimension-bool", "data-pair-of-three", "data-numeric-string"])
+        "dimension-bool", "data-pair-of-three", "data-numeric-string",
+        "data-bool"])
 def test_malformed_input_exit_2_with_one_error_line(capsys, tmp_path, argv,
                                                     data, named):
     path = tmp_path / "input.json"
@@ -195,6 +199,15 @@ def test_malformed_input_exit_2_with_one_error_line(capsys, tmp_path, argv,
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+
+
+def test_allocation_over_budget_exit_4(capsys, monkeypatch):
+    monkeypatch.setattr(tensors, "MAX_ELEMENTS", 4)
+    code, out, err = run(capsys, "meaning", str(DATA / "language.json"),
+                         "Alice hates Bob")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "budget" in err
 
 
 def test_no_parse_meaning_exit_1(capsys):

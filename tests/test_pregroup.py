@@ -414,9 +414,21 @@ def test_charge_mismatch_never_reaches_reductions(monkeypatch):
     assert flats == [parse_typelist("n n.L s")]
 
 
+def test_long_sentence_parses_without_recursion_limit():
+    # the enumeration goes one span further per "big"; at 1200 a recursive
+    # one overflows the interpreter's default recursion limit
+    lexicon = lexicon_from_json({"bases": {"n": 2, "s": 2}, "words": [
+        {"word": "big", "type": "n n.L", "data": [1.0, 0.0, 0.0, 1.0]},
+        {"word": "Alice", "type": "n", "data": [1.0, 0.4]},
+        {"word": "sleeps", "type": "n.L s", "data": [0.3, 0.9, 0.2, 0.1]}]})
+    (witness,) = parse(lexicon, ["big"] * 1200 + ["Alice", "sleeps"])
+    assert witness.links == {(2 * k, 2 * k + 1) for k in range(1201)}
+    assert witness.residual == (2402,)
+
+
 @pytest.mark.parametrize("data", [
     [[1, 0, 5], [0, 1, 0]], [[1, 0], "2"], [[1, "2"], [0, 1]], [True, False],
-    [[[1, 0]], [[0, 1]]],
+    [[[1, 0]], [[0, 1]]], [True, 0.5], [[0.5, 0], [1, True]], [[1, 0], False],
 ])
 def test_data_elements_must_be_numbers_or_pairs(data):
     with pytest.raises(ValueError, match="'data'"):

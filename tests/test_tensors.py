@@ -1,12 +1,20 @@
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import brute_force_evaluate, random_diagram
+from conftest import (brute_force_evaluate, random_diagram, random_morphism,
+                      random_types)
 
+import stringcalc
 from stringcalc import diagram as dg
+from stringcalc import tensors
 from stringcalc.diagram import identity
 from stringcalc.errors import (DimensionMismatch, MissingPayload, NotHermitian,
-                               NotSquare, ShapeMismatch, ZeroNorm)
+                               NotSquare, ShapeMismatch, StateExplosion,
+                               ZeroNorm)
 from stringcalc.pregroup import grammar_diagram, lexicon_from_json, parse
 from stringcalc.tensors import (Model, Payload, Tensor, as_density_matrix,
                                 double, double_array, entropy, evaluate,
@@ -16,6 +24,7 @@ from stringcalc.types import WireType
 
 A = WireType("a")
 B = WireType("b")
+DATA = Path(stringcalc.__file__).parent / "data"
 
 
 def model_with(dims, **arrays):
@@ -279,6 +288,79 @@ def test_mixed_payload_requires_thick_wires():
         evaluate(d, model)
     out = evaluate(double(d), model).to_array()
     assert np.allclose(out, rho.reshape(4))
+
+
+def test_thick_evaluation_with_mixed_payloads_matches_oracle():
+    rng = np.random.default_rng(8)
+    dims = {"a": 2, "b": 3}
+    both = 0
+    for trial in range(40):
+        d = random_diagram(rng, max_nodes=4, max_width=3)
+        d = (d >> random_morphism(rng, d.cod, random_types(
+            rng, int(rng.integers(0, 3))), "m")) @ random_diagram(rng, 2, 2)
+        if math.prod(dims[d.src_type(sn, sp).base] ** 2
+                     for sn, sp, _, _ in d.wires) > 20000:
+            continue  # the oracle sums over every thick wire assignment
+        refs = {g.payload or "box:" + repr(g.signature())
+                for g in d.nodes if g.kind == dg.BOX}
+        model = random_payloads(Model(dims=dims, doubling="thick"), (d,),
+                                seed=trial)
+        payloads = dict(model.payloads)
+        for ref in sorted(refs):
+            if rng.random() < 0.5:
+                shape = tuple(x * x for x in payloads[ref].tensor.shape)
+                arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                payloads[ref] = Payload(Tensor.from_array(arr), kind="mixed")
+        kinds = {payloads[ref].kind for ref in refs}
+        both += kinds == {"pure", "mixed"}
+        model = Model(dims=dims, payloads=payloads, doubling="thick")
+        got = evaluate(d, model)
+        oracle = brute_force_evaluate(d, model)
+        assert got.shape == oracle.shape
+        assert np.allclose(got.to_array(), oracle, atol=1e-9), trial
+    assert both >= 5
+
+
+def test_thick_pure_evaluation_contracts_at_thin_dimensions(monkeypatch):
+    lexicon = lexicon_from_json(json.loads((DATA / "language.json").read_text()))
+    words = "Alice does not like Bob".split()
+    (witness,) = parse(lexicon, words)
+    loop = dg.cup("n", 0) >> dg.swap(WireType("n").l, WireType("n")) \
+        >> dg.cap("n", 0)
+    d = grammar_diagram(words, witness, lexicon) @ dg.cup("n", 0) @ loop
+    axes = []
+
+    def spy(operands, output, dims):
+        axes.extend(s for _, arr in operands for s in arr.shape)
+        return contract(operands, output, dims)
+
+    contract = tensors._contract
+    monkeypatch.setattr(tensors, "_contract", spy)
+    thin = evaluate(d, lexicon.model()).to_array()
+    thick = evaluate(d, lexicon.model(doubling="thick")).to_array()
+    assert axes and max(axes) <= max(lexicon.bases.values())
+    assert np.abs(thick - double_array(thin)).max() <= 1e-12
+
+
+def test_allocations_over_the_budget_raise_state_explosion(monkeypatch):
+    monkeypatch.setattr(tensors, "MAX_ELEMENTS", 8)
+    v = np.arange(1.0, 4.0)
+    model = model_with({"a": 3}, v=v, f=np.eye(9).reshape(3, 3, 3, 3))
+    vec = dg.box("v", (), (A,), payload="v")
+    assert evaluate(vec, model).shape == (3,)
+    too_big = {
+        "doubled result": double(vec),
+        "boundary identity": dg.cup("a", 0),
+        "outer product": vec @ vec,
+        "pair contraction": (vec @ vec) >> dg.box("f", (A, A), (A, A),
+                                                  payload="f"),
+    }
+    for what, d in too_big.items():
+        with pytest.raises(StateExplosion, match="budget"):
+            evaluate(d, model)
+    monkeypatch.setattr(tensors, "MAX_ELEMENTS", 81)
+    for d in too_big.values():
+        evaluate(d, model)
 
 
 def test_doubled_and_plain_do_not_compose():

@@ -11,7 +11,9 @@ numbering used by structural equality) rather than as rewrite rules.
 Wire encoding: a wire is a 4-tuple ``(sn, sp, dn, dp)``.  ``sn >= 0``
 means output port ``sp`` of node ``sn``; ``sn == -1`` means boundary
 input ``sp``.  ``dn >= 0`` means input port ``dp`` of node ``dn``;
-``dn == -2`` means boundary output ``dp``.
+``dn == -2`` means boundary output ``dp``.  The wires of a diagram are a
+set: their order means nothing, and only the canonical form and the JSON
+writer sort them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from functools import cached_property
 import json
 
 from .errors import InvalidDiagram, TypeMismatch, ZeroArity, require
-from .types import TypeList, WireType, check_declared, parse_wiretype
+from .types import (TypeList, WireType, check_declared, parse_wiretype,
+                    typelist_str)
 
 __all__ = [
     "BOX", "CUP", "CAP", "SWAP", "SPIDER", "IDENTITY",
@@ -110,19 +113,12 @@ class Diagram:
 
     @cached_property
     def canonical_key(self) -> tuple:
-        order = canonical_order(self)
-        pos = {node: i for i, node in enumerate(order)}
-
-        def remap(n: int) -> int:
-            return n if n < 0 else pos[n]
-
-        wires = tuple(sorted((remap(sn), sp, remap(dn), dp)
-                             for sn, sp, dn, dp in self.wires))
+        c = self.canonical()
         return (
             tuple(str(t) for t in self.dom),
             tuple(str(t) for t in self.cod),
-            tuple(self.nodes[i].signature() for i in order),
-            wires,
+            tuple(g.signature() for g in c.nodes),
+            c.wires,
             self.doubled,
         )
 
@@ -136,20 +132,8 @@ class Diagram:
 
     def canonical(self) -> "Diagram":
         """The same diagram with nodes renumbered in canonical order."""
-        order = canonical_order(self)
-        pos = {node: i for i, node in enumerate(order)}
-
-        def remap(n: int) -> int:
-            return n if n < 0 else pos[n]
-
-        return Diagram(
-            dom=self.dom,
-            cod=self.cod,
-            nodes=tuple(self.nodes[i] for i in order),
-            wires=tuple(sorted((remap(sn), sp, remap(dn), dp)
-                               for sn, sp, dn, dp in self.wires)),
-            doubled=self.doubled,
-        )
+        nodes, wires = _renumber(self, canonical_order(self), self.wires)
+        return Diagram(self.dom, self.cod, nodes, wires, self.doubled)
 
     def __repr__(self) -> str:
         return (f"Diagram(dom={[str(t) for t in self.dom]}, "
@@ -166,10 +150,16 @@ def identity(types: TypeList) -> Diagram:
                    tuple((IN, k, OUT, k) for k in range(len(types))))
 
 
+def _one_node(gen: Generator) -> Diagram:
+    """The diagram of a single node, its ports wired to the boundary in order."""
+    return Diagram(gen.dom, gen.cod, (gen,),
+                   tuple((IN, k, 0, k) for k in range(len(gen.dom)))
+                   + tuple((0, k, OUT, k) for k in range(len(gen.cod))))
+
+
 def identity_node(t: WireType) -> Diagram:
     """An explicit identity generator on one wire (removed by normalize)."""
-    gen = Generator(IDENTITY, (t,), (t,))
-    return Diagram((t,), (t,), (gen,), ((IN, 0, 0, 0), (0, 0, OUT, 0)))
+    return _one_node(Generator(IDENTITY, (t,), (t,)))
 
 
 def make_generator(name: str, dom: TypeList, cod: TypeList,
@@ -182,10 +172,7 @@ def make_generator(name: str, dom: TypeList, cod: TypeList,
         raise ValueError("generator name must be nonempty")
     dom, cod = tuple(dom), tuple(cod)
     check_declared(dom + cod, table)
-    gen = Generator(BOX, dom, cod, name=name, payload=payload)
-    wires = tuple((IN, k, 0, k) for k in range(len(dom))) + \
-        tuple((0, k, OUT, k) for k in range(len(cod)))
-    return Diagram(dom, cod, (gen,), wires)
+    return _one_node(Generator(BOX, dom, cod, name=name, payload=payload))
 
 
 box = make_generator
@@ -200,11 +187,9 @@ def bend(base: str, z: int, direction: str, table=None) -> Diagram:
     check_declared((WireType(base),), table)
     lo, hi = WireType(base, z), WireType(base, z + 1)
     if direction == "cup":
-        gen = Generator(CUP, (), (hi, lo))
-        return Diagram((), (hi, lo), (gen,), ((0, 0, OUT, 0), (0, 1, OUT, 1)))
+        return _one_node(Generator(CUP, (), (hi, lo)))
     if direction == "cap":
-        gen = Generator(CAP, (lo, hi), ())
-        return Diagram((lo, hi), (), (gen,), ((IN, 0, 0, 0), (IN, 1, 0, 1)))
+        return _one_node(Generator(CAP, (lo, hi), ()))
     raise ValueError(f"direction must be 'cup' or 'cap', got {direction!r}")
 
 
@@ -217,9 +202,7 @@ def cap(base: str, z: int = 0, table=None) -> Diagram:
 
 
 def swap(u: WireType, v: WireType) -> Diagram:
-    gen = Generator(SWAP, (u, v), (v, u))
-    return Diagram((u, v), (v, u), (gen,),
-                   ((IN, 0, 0, 0), (IN, 1, 0, 1), (0, 0, OUT, 0), (0, 1, OUT, 1)))
+    return _one_node(Generator(SWAP, (u, v), (v, u)))
 
 
 def spider(base: str, n_in: int, m_out: int, table=None) -> Diagram:
@@ -228,10 +211,7 @@ def spider(base: str, n_in: int, m_out: int, table=None) -> Diagram:
     if n_in + m_out < 1:
         raise ZeroArity("a spider needs at least one leg")
     t = WireType(base)
-    gen = Generator(SPIDER, (t,) * n_in, (t,) * m_out)
-    wires = tuple((IN, k, 0, k) for k in range(n_in)) + \
-        tuple((0, k, OUT, k) for k in range(m_out))
-    return Diagram((t,) * n_in, (t,) * m_out, (gen,), wires)
+    return _one_node(Generator(SPIDER, (t,) * n_in, (t,) * m_out))
 
 
 def permutation(types: TypeList, perm: list[int]) -> Diagram:
@@ -262,7 +242,7 @@ def permutation(types: TypeList, perm: list[int]) -> Diagram:
                 changed = True
     wires += [feed[j] + (OUT, j) for j in range(len(types))]
     return Diagram(types, tuple(types[i] for i in current), tuple(nodes),
-                   tuple(sorted(wires)))
+                   tuple(wires))
 
 
 # -- composition ---------------------------------------------------------
@@ -298,7 +278,7 @@ def compose_seq(f: Diagram, g: Diagram) -> Diagram:
             wires.append((xsn, xsp, shift_g(dn), dp))
         else:
             wires.append((sn + shift, sp, shift_g(dn), dp))
-    return Diagram(f.dom, g.cod, f.nodes + g.nodes, tuple(sorted(wires)),
+    return Diagram(f.dom, g.cod, f.nodes + g.nodes, tuple(wires),
                    doubled=f.doubled)
 
 
@@ -316,13 +296,10 @@ def compose_par(f: Diagram, g: Diagram) -> Diagram:
             return n, p + dout
         return n + shift, p
 
-    wires = list(f.wires)
-    for sn, sp, dn, dp in g.wires:
-        (sn, sp) = remap(sn, sp)
-        (dn, dp) = remap(dn, dp)
-        wires.append((sn, sp, dn, dp))
-    return Diagram(f.dom + g.dom, f.cod + g.cod, f.nodes + g.nodes,
-                   tuple(sorted(wires)), doubled=f.doubled)
+    wires = f.wires + tuple(remap(sn, sp) + remap(dn, dp)
+                            for sn, sp, dn, dp in g.wires)
+    return Diagram(f.dom + g.dom, f.cod + g.cod, f.nodes + g.nodes, wires,
+                   doubled=f.doubled)
 
 
 # -- validation ----------------------------------------------------------
@@ -486,12 +463,17 @@ def _component_order(d: Diagram, root: int, comp: list[int]) -> tuple[tuple, lis
 
     discover(root)
     _expand(d, queue, discover)
+    # no wire joins the component to the boundary or to another component
+    nodes, wires = _renumber(d, order, [w for w in d.wires if w[0] in comp_set])
+    return ((tuple(g.signature() for g in nodes), wires), order)
+
+
+def _renumber(d: Diagram, order: list[int], wires) -> tuple[tuple, tuple]:
+    """The nodes listed in *order*, and *wires* renumbered to match, sorted."""
     pos = {n: i for i, n in enumerate(order)}
-    wires = tuple(sorted((pos[sn], sp, pos[dn], dp)
-                         for sn, sp, dn, dp in d.wires
-                         if sn in comp_set and dn in comp_set))
-    key = (tuple(d.nodes[i].signature() for i in order), wires)
-    return (key, order)
+    pos[IN], pos[OUT] = IN, OUT
+    wires = sorted((pos[sn], sp, pos[dn], dp) for sn, sp, dn, dp in wires)
+    return tuple(d.nodes[i] for i in order), tuple(wires)
 
 
 # -- JSON serialization ---------------------------------------------------
@@ -518,11 +500,23 @@ def diagram_to_json(d: Diagram) -> dict:
     return {
         "types": {b: True for b in bases},
         "nodes": nodes,
-        "edges": [list(w) for w in d.wires],
+        "edges": [list(w) for w in sorted(d.wires)],
         "inputs": [str(t) for t in d.dom],
         "outputs": [str(t) for t in d.cod],
         "doubled": d.doubled,
     }
+
+
+# What each node kind's dom and cod must be.  Loading checks this, since a
+# loaded node is the only one not built by the constructors above.
+_FITS = {
+    BOX: lambda dom, cod: True,
+    CUP: lambda dom, cod: not dom and len(cod) == 2 and cod[0] == cod[1].l,
+    CAP: lambda dom, cod: not cod and len(dom) == 2 and dom[1] == dom[0].l,
+    SWAP: lambda dom, cod: len(dom) == 2 and cod == dom[::-1],
+    IDENTITY: lambda dom, cod: len(dom) == 1 and cod == dom,
+    SPIDER: lambda dom, cod: len({t.base for t in dom + cod}) == 1,
+}
 
 
 def diagram_from_json(data: dict) -> Diagram:
@@ -536,19 +530,26 @@ def diagram_from_json(data: dict) -> Diagram:
     nodes = []
     for entry in sorted(require(data, "nodes", list, "diagram", []),
                         key=lambda e: require(e, "id", int, "diagram node")):
-        nodes.append(Generator(
+        gen = Generator(
             kind=require(entry, "kind", str, "diagram node"),
             dom=types(entry, "dom", "diagram node"),
             cod=types(entry, "cod", "diagram node"),
             name=entry.get("name", ""),
             payload=entry.get("payload"),
-        ))
+        )
+        if gen.kind not in _FITS:
+            raise ValueError(f"diagram node {entry['id']} has unknown kind "
+                             f"{gen.kind!r}")
+        if not _FITS[gen.kind](gen.dom, gen.cod):
+            raise ValueError(
+                f"diagram node {entry['id']}: a {gen.kind} cannot go from "
+                f"[{typelist_str(gen.dom)}] to [{typelist_str(gen.cod)}]")
+        nodes.append(gen)
     d = Diagram(
         dom=types(data, "inputs", "diagram", []),
         cod=types(data, "outputs", "diagram", []),
         nodes=tuple(nodes),
-        wires=tuple(sorted(tuple(w) for w in require(data, "edges", list,
-                                                     "diagram", []))),
+        wires=tuple(tuple(w) for w in require(data, "edges", list, "diagram", [])),
         doubled=bool(data.get("doubled", False)),
     )
     table = set(data.get("types", {}))

@@ -232,25 +232,21 @@ def residual_report(lexicon: PregroupLexicon, words: list[str],
                     max_combinations: int = 64) -> list[tuple[tuple[int, ...], str]]:
     """Best-effort residuals per entry combination (for NoParse messages).
 
-    Greedily cancels the leftmost adjacent pair until stuck.
+    Greedily cancels the leftmost adjacent pair until stuck, in one left
+    to right pass: the stack of types read so far holds no cancelling
+    pair, so the leftmost one is always its top with the next type.
     """
     choices = [range(len(lexicon.lookup(w))) for w in words]
     report = []
     for combo in islice(product(*choices), max_combinations):
-        flat: list[WireType] = []
+        stack: list[WireType] = []
         for word, k in zip(words, combo):
-            flat.extend(lexicon.entries[word][k].type)
-        reduced = list(flat)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(reduced) - 1):
-                a, b = reduced[i], reduced[i + 1]
-                if a.base == b.base and b.z == a.z + 1:
-                    del reduced[i:i + 2]
-                    changed = True
-                    break
-        report.append((tuple(combo), typelist_str(tuple(reduced))))
+            for t in lexicon.entries[word][k].type:
+                if stack and t == stack[-1].l:
+                    stack.pop()
+                else:
+                    stack.append(t)
+        report.append((tuple(combo), typelist_str(tuple(stack))))
     return report
 
 
@@ -288,7 +284,7 @@ def grammar_diagram(words: list[str], witness: ParseWitness,
         elif j > k:
             wires += [(sn, sp, len(nodes), 0), (*feeds[j], len(nodes), 1)]
             nodes.append(Generator(CAP, (row[k], row[j]), ()))
-    return Diagram((), tuple(cod), tuple(nodes), tuple(sorted(wires)))
+    return Diagram((), tuple(cod), tuple(nodes), tuple(wires))
 
 
 def _link_partners(flat, links) -> dict[int, int]:
@@ -340,7 +336,7 @@ def _copula_state(entry: LexEntry) -> Diagram:
         wires += [(1, 0, 2, 0), (2, 0, OUT, 1)]
     else:
         wires.append((1, 0, OUT, 1))
-    return Diagram((), t, tuple(nodes), tuple(sorted(wires)))
+    return Diagram((), t, tuple(nodes), tuple(wires))
 
 
 def _relpron_state(entry: LexEntry) -> Diagram:
@@ -355,7 +351,7 @@ def _relpron_state(entry: LexEntry) -> Diagram:
         if k not in noun:
             wires.append((len(nodes), 0, OUT, k))
             nodes.append(Generator(SPIDER, (), (t[k],)))
-    return Diagram((), t, tuple(nodes), tuple(sorted(wires)))
+    return Diagram((), t, tuple(nodes), tuple(wires))
 
 
 # -- lexicon loading -------------------------------------------------------

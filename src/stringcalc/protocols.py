@@ -19,7 +19,7 @@ import numpy as np
 from . import diagram as dg
 from .diagram import Diagram, identity
 from .errors import VerificationFailure
-from .tensors import Model, Payload, Tensor, evaluate
+from .tensors import Model, Payload, Tensor, check_budget, evaluate
 from .types import WireType
 
 __all__ = [
@@ -114,10 +114,14 @@ def verify_teleportation(dim: int, trials: int, tolerance: float = 1e-9,
     to the input and the uncorrected branch must carry probability
     ``1/d^2``, both within *tolerance*.  ``correction_map`` reroutes
     correction boxes between branches (useful as a negative control);
-    any deviation raises :class:`VerificationFailure`.
+    any deviation raises :class:`VerificationFailure`.  The trial states
+    and the model (``dim**2`` unitaries and their inverses) are checked
+    against ``tensors.MAX_ELEMENTS`` before they are built.
     """
     if dim < 2 or trials < 1:
         raise ValueError("need dim >= 2 and trials >= 1")
+    check_budget(trials * dim, "the trial-state array")
+    check_budget(2 * dim ** 4, "the teleportation model")
     model = teleportation_model(dim)
     rng = np.random.default_rng(seed)
     states = rng.standard_normal((trials, dim)) + \

@@ -39,9 +39,13 @@ class ResourcePresentation:
 
     def __post_init__(self):
         for lhs, rhs in self.rules:
-            for atom in lhs + rhs:
-                if atom not in self.atoms:
-                    raise ValueError(f"rule uses undeclared atom {atom!r}")
+            self.require_declared(lhs + rhs)
+
+    def require_declared(self, atoms) -> None:
+        """``ValueError`` naming the first of *atoms* that is not declared."""
+        for atom in atoms:
+            if atom not in self.atoms:
+                raise ValueError(f"undeclared atom {atom!r}")
 
 
 @dataclass(frozen=True)
@@ -65,9 +69,7 @@ def convertible(src, dst, presentation: ResourcePresentation,
                 max_visited: int = 10 ** 6) -> ConversionWitness | None:
     """Shortest conversion from *src* to *dst*, or ``None`` within bounds."""
     src, dst = as_multiset(src), as_multiset(dst)
-    for atom in src + dst:
-        if atom not in presentation.atoms:
-            raise ValueError(f"undeclared atom {atom!r}")
+    presentation.require_declared(src + dst)
     parent: dict[Multiset, tuple[Multiset, int] | None] = {}
     for state, how in _explore(src, presentation, max_steps, max_visited):
         parent[state] = how
@@ -137,6 +139,7 @@ def conversion_rate(a: str, b: str, presentation: ResourcePresentation,
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    presentation.require_declared((a, b))
     best = RateResult(Fraction(0), 1, 0, n_max, max_steps)
     for n in range(1, n_max + 1):
         reached = _explore(as_multiset([a] * n), presentation, max_steps,

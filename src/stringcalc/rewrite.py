@@ -79,8 +79,8 @@ def normalize(d: Diagram) -> NormalForm:
         dom=d.dom,
         cod=d.cod,
         nodes=tuple(nodes.values()),
-        wires=tuple(sorted((remap.get(sn, sn), sp, remap.get(dn, dn), dp)
-                           for (sn, sp), (dn, dp) in nxt.items())),
+        wires=tuple((remap.get(sn, sn), sp, remap.get(dn, dn), dp)
+                    for (sn, sp), (dn, dp) in nxt.items()),
         doubled=d.doubled,
     )
     return NormalForm(packed.canonical(), tuple(trace))

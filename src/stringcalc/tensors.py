@@ -51,12 +51,12 @@ from .errors import (DimensionMismatch, InvalidDiagram, MissingPayload,
 __all__ = [
     "Tensor", "Payload", "Model",
     "evaluate", "double", "entropy", "similarity",
-    "tensor_to_json", "tensor_from_json", "random_payloads",
+    "tensor_to_json", "tensor_from_json", "random_payloads", "check_budget",
 ]
 
 #: The most complex elements (1 GiB of complex128) that one array built
-#: during evaluation may hold; a larger one raises ``StateExplosion``
-#: before numpy allocates it.
+#: during evaluation, or by ``verify_teleportation``, may hold; a larger
+#: one raises ``StateExplosion`` before numpy allocates it.
 MAX_ELEMENTS = 1 << 26
 
 
@@ -232,7 +232,7 @@ def evaluate(d: Diagram, model: Model) -> Tensor:
         dims = [x * x for x in dims]
         for k, (labels, arr) in enumerate(operands):
             if k not in mixed:
-                _check_budget(arr.size ** 2, "a doubled payload")
+                check_budget(arr.size ** 2, "a doubled payload")
                 operands[k] = (labels, double_array(arr))
 
     # an open label repeated on the boundary is joined to its copies by deltas
@@ -241,7 +241,7 @@ def evaluate(d: Diagram, model: Model) -> Tensor:
         if lbl in output:
             copy = len(dims)
             dims.append(dims[lbl])
-            _check_budget(dims[lbl] ** 2, "a boundary identity")
+            check_budget(dims[lbl] ** 2, "a boundary identity")
             operands.append(([lbl, copy], np.eye(dims[lbl], dtype=complex)))
             lbl = copy
         output.append(lbl)
@@ -259,7 +259,7 @@ def evaluate(d: Diagram, model: Model) -> Tensor:
     if thick and not mixed:
         # the double of a pure network is its ket layer beside its
         # conjugate bra layer, with no wire between the two
-        _check_budget(result.size ** 2, "the doubled result")
+        check_budget(result.size ** 2, "the doubled result")
         result = double_array(result)
     if thick:
         loops *= loops  # a thick loop is a ket loop beside a bra loop
@@ -276,7 +276,7 @@ def _payload(gen, model: Model) -> Payload:
     return model.payloads[ref]
 
 
-def _check_budget(elements: int, what: str) -> None:
+def check_budget(elements: int, what: str) -> None:
     """``StateExplosion`` before numpy is asked for more than the budget."""
     if elements > MAX_ELEMENTS:
         raise StateExplosion(f"{what} needs {elements} complex elements, over "
@@ -341,7 +341,7 @@ def _contract(operands, output: list[int], dims: list[int]):
         kept = [l for l in shared if l in keep or holders[l]]
         out = [l for l in la if l not in shared or l in kept] + \
               [l for l in lb if l not in shared]
-        _check_budget(math.prod(dims[l] for l in out), "a pair contraction")
+        check_budget(math.prod(dims[l] for l in out), "a pair contraction")
         if kept:
             merged = _einsum(out, (a, la), (b, lb))
         else:  # BLAS-backed; its result axes are already in `out` order
@@ -359,7 +359,7 @@ def _contract(operands, output: list[int], dims: list[int]):
         return np.array(1.0 + 0.0j)
     labels, result = rest[0]
     for la, a in rest[1:]:
-        _check_budget(result.size * a.size, "an outer product")
+        check_budget(result.size * a.size, "an outer product")
         labels, result = labels + la, np.multiply.outer(result, a)
     return result.transpose([labels.index(l) for l in output])
 

@@ -185,12 +185,25 @@ def _lexicon_with(word):
         {"word": "Alice", "type": "n", "data": ["2", 1.0]}]}, "'data'"),
     (["meaning", "Alice", "--target", "n"], {"bases": {"n": 2}, "words": [
         {"word": "Alice", "type": "n", "data": [True, 0.5]}]}, "'data'"),
+    # an atom the presentation does not declare
+    (["rate", "A", "Z"], {"atoms": ["A", "B"],
+                          "rules": [{"from": ["A"], "to": ["B", "B"]}]}, "'Z'"),
+    # a node kind that does not exist, and a cup and cap of the wrong shapes
+    # whose snake would yank into a wire from a to b
+    (["normalize"], {"inputs": ["a"], "outputs": ["a"], "nodes": [
+        {"id": 0, "kind": "bogus", "dom": ["a"], "cod": ["a"]}],
+        "edges": [[-1, 0, 0, 0], [0, 0, -2, 0]]}, "'bogus'"),
+    (["normalize"], {"inputs": ["a"], "outputs": ["b"], "nodes": [
+        {"id": 0, "kind": "cup", "dom": [], "cod": ["b", "b"]},
+        {"id": 1, "kind": "cap", "dom": ["a", "b"], "cod": []}],
+        "edges": [[-1, 0, 1, 0], [0, 0, 1, 1], [0, 1, -2, 0]]}, "node 0"),
 ], ids=["copula-type", "negation-type", "relpron-no-repeat", "relpron-one-leg",
         "lexicon-no-bases", "presentation-no-rules", "node-no-kind",
         "dimension-not-int", "rule-from-not-list", "undeclared-base",
         "wiretype-not-string", "data-not-number", "dimension-zero",
         "dimension-bool", "data-pair-of-three", "data-numeric-string",
-        "data-bool"])
+        "data-bool", "rate-undeclared-atom", "node-kind-unknown",
+        "node-shape-misfit"])
 def test_malformed_input_exit_2_with_one_error_line(capsys, tmp_path, argv,
                                                     data, named):
     path = tmp_path / "input.json"
@@ -205,6 +218,18 @@ def test_allocation_over_budget_exit_4(capsys, monkeypatch):
     monkeypatch.setattr(tensors, "MAX_ELEMENTS", 4)
     code, out, err = run(capsys, "meaning", str(DATA / "language.json"),
                          "Alice hates Bob")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "budget" in err
+
+
+@pytest.mark.parametrize("argv", [["--dim", "2", "--trials", "100"],
+                                  ["--dim", "3", "--trials", "1"]],
+                         ids=["trial-states", "model"])
+def test_teleport_over_budget_exit_4(capsys, monkeypatch, argv):
+    # 2 x 100 trial-state elements, then 2 x 3**4 model elements, over 100
+    monkeypatch.setattr(tensors, "MAX_ELEMENTS", 100)
+    code, out, err = run(capsys, "teleport", *argv)
     assert (code, out) == (4, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "budget" in err

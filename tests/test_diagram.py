@@ -1,15 +1,17 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from conftest import random_morphism, random_types
+from conftest import random_diagram, random_morphism, random_types
 
 from stringcalc import diagram as dg
 from stringcalc.diagram import (IN, OUT, Diagram, Generator, diagram_from_json,
                                 diagram_to_json, identity, validate)
 from stringcalc.errors import InvalidDiagram, TypeMismatch, UnknownBase, ZeroArity
-from stringcalc.tensors import Model, evaluate
+from stringcalc.rewrite import normalize
+from stringcalc.tensors import Model, evaluate, random_payloads
 from stringcalc.types import WireType, parse_typelist
 
 A = WireType("a")
@@ -177,6 +179,29 @@ def test_json_round_trip_spider_and_cup():
     d = (dg.spider("a", 1, 2) @ dg.cup("b", -1)) >> \
         (identity((A,)) @ dg.swap(A, WireType("b")) @ identity((WireType("b", -1),)))
     assert diagram_from_json(diagram_to_json(d)) == d
+
+
+def test_wire_order_is_not_observable():
+    """The wires of a diagram are a set: shuffling them changes no
+    evaluation, no rewrite and no JSON."""
+    rng = np.random.default_rng(17)
+    shuffled = 0
+    for k in range(300):
+        d = random_diagram(rng, max_width=4)
+        e = dataclasses.replace(d, wires=tuple(
+            d.wires[i] for i in rng.permutation(len(d.wires))))
+        shuffled += e.wires != d.wires
+        model = random_payloads(Model(dims={"a": 2, "b": 2}), (d,), seed=k)
+        for doubling in ("thin", "thick"):
+            m = dataclasses.replace(model, doubling=doubling)
+            assert np.array_equal(evaluate(d, m).to_array(),
+                                  evaluate(e, m).to_array())
+        nd, ne = normalize(d), normalize(e)
+        assert nd.rewrite_trace == ne.rewrite_trace
+        assert (nd.diagram.nodes, nd.diagram.wires) == \
+            (ne.diagram.nodes, ne.diagram.wires)
+        assert diagram_to_json(d) == diagram_to_json(e)
+    assert shuffled > 200
 
 
 def test_from_json_rejects_invalid():

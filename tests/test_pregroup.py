@@ -12,7 +12,7 @@ from stringcalc.errors import TypeMismatch, UnknownWord
 from stringcalc.pregroup import (grammar_diagram, lexicon_from_json, parse,
                                  residual_report, word_state)
 from stringcalc.tensors import double_array, entropy, evaluate
-from stringcalc.types import WireType, parse_typelist
+from stringcalc.types import WireType, parse_typelist, typelist_str
 
 DATA = {
     "bases": {"n": 2, "s": 2},
@@ -390,6 +390,40 @@ def test_parse_of_random_ambiguous_lexicons_vs_oracle():
         assert got == want, (words, target, cap)
         found += len(got)
     assert found > 50
+
+
+def _rescanning_greedy(flat):
+    """Cancel the leftmost adjacent pair, then rescan from the start, until
+    stuck: the loop ``residual_report`` used before its stack pass."""
+    reduced = list(flat)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(reduced) - 1):
+            a, b = reduced[i], reduced[i + 1]
+            if a.base == b.base and b.z == a.z + 1:
+                del reduced[i:i + 2]
+                changed = True
+                break
+    return typelist_str(tuple(reduced))
+
+
+def test_residual_report_matches_rescanning_greedy():
+    rng = np.random.default_rng(8)
+    cancelled = 0
+    for _ in range(300):
+        lexicon = _random_lexicon(rng)
+        words = [f"w{int(rng.integers(0, 4))}"
+                 for _ in range(int(rng.integers(1, 7)))]
+        choices = [range(len(lexicon.lookup(w))) for w in words]
+        want = []
+        for combo in islice(product(*choices), 64):
+            flat = tuple(t for w, k in zip(words, combo)
+                         for t in lexicon.lookup(w)[k].type)
+            want.append((combo, _rescanning_greedy(flat)))
+            cancelled += len(flat) - len(want[-1][1].split())
+        assert residual_report(lexicon, words) == want, words
+    assert cancelled > 1000
 
 
 def test_charge_mismatch_never_reaches_reductions(monkeypatch):

@@ -7,7 +7,7 @@ or thick density matrices) turns diagrams into numbers.  Resource
 presentations and post-selected teleportation round out the toolkit.
 """
 
-from .diagram import (Diagram, Generator, bend, box, cap, compose_par,
+from .diagram import (Diagram, Generator, box, cap, compose_par,
                       compose_seq, cup, identity, make_generator,
                       permutation, spider, swap, validate)
 from .pregroup import (ParseWitness, PregroupLexicon, grammar_diagram,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Diagram", "Generator", "WireType",
-    "bend", "box", "cap", "cup", "identity", "make_generator",
+    "box", "cap", "cup", "identity", "make_generator",
     "permutation", "spider", "swap", "validate",
     "compose_seq", "compose_par",
     "NormalForm", "normalize", "equal",

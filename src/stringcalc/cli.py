@@ -187,7 +187,7 @@ def cmd_similarity(args) -> int:
 def cmd_disambiguate(args) -> int:
     lexicon = pregroup.load_lexicon(args.lexicon)
     entry = lexicon.lookup(args.word)[0]
-    state = pregroup.word_state(entry, lexicon, set(lexicon.bases))
+    state = pregroup.word_state(entry, lexicon)
     model = lexicon.model(doubling="thick")
     before = tensors.entropy(tensors.evaluate(state, model))
     sentence = " ".join([args.word] + args.context.split())

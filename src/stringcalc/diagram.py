@@ -21,7 +21,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-import json
 
 from .errors import InvalidDiagram, TypeMismatch, ZeroArity, require
 from .types import (TypeList, WireType, check_declared, parse_wiretype,
@@ -31,7 +30,7 @@ __all__ = [
     "BOX", "CUP", "CAP", "SWAP", "SPIDER", "IDENTITY",
     "Generator", "Diagram", "Violation",
     "identity", "identity_node", "make_generator", "box",
-    "bend", "cup", "cap", "swap", "spider", "permutation",
+    "cup", "cap", "swap", "spider", "permutation",
     "compose_seq", "compose_par",
     "validate", "diagram_to_json", "diagram_from_json",
 ]
@@ -84,14 +83,13 @@ class Diagram:
 
     # -- composition ---------------------------------------------------
 
-    def then(self, other: "Diagram") -> "Diagram":
+    # the module functions are looked up at each call, so a wrapper
+    # installed on the module sees every ``>>`` and ``@``
+    def __rshift__(self, other: "Diagram") -> "Diagram":
         return compose_seq(self, other)
 
-    def tensor(self, other: "Diagram") -> "Diagram":
+    def __matmul__(self, other: "Diagram") -> "Diagram":
         return compose_par(self, other)
-
-    __rshift__ = then
-    __matmul__ = tensor
 
     # -- wire lookup ---------------------------------------------------
 
@@ -163,51 +161,42 @@ def identity_node(t: WireType) -> Diagram:
 
 
 def make_generator(name: str, dom: TypeList, cod: TypeList,
-                   payload: str | None = None, table=None) -> Diagram:
+                   payload: str | None = None) -> Diagram:
     """A single-box diagram ``dom -> cod``.
 
     States have an empty ``dom``, effects an empty ``cod``.
     """
     if not name:
         raise ValueError("generator name must be nonempty")
-    dom, cod = tuple(dom), tuple(cod)
-    check_declared(dom + cod, table)
-    return _one_node(Generator(BOX, dom, cod, name=name, payload=payload))
+    return _one_node(Generator(BOX, tuple(dom), tuple(cod), name=name,
+                               payload=payload))
 
 
 box = make_generator
 
 
-def bend(base: str, z: int, direction: str, table=None) -> Diagram:
-    """A cup state ``[] -> [b^(z+1), b^z]`` or cap effect ``[b^z, b^(z+1)] -> []``.
+def cup(base: str, z: int = 0) -> Diagram:
+    """A cup state ``[] -> [b^(z+1), b^z]``.
 
-    The orientation is the one that makes the snake composed from one
-    cup and one cap type-check on the wire ``b^z``.
+    With :func:`cap` on the same ``z``, the snake composed from the two
+    type-checks on the wire ``b^z``.
     """
-    check_declared((WireType(base),), table)
-    lo, hi = WireType(base, z), WireType(base, z + 1)
-    if direction == "cup":
-        return _one_node(Generator(CUP, (), (hi, lo)))
-    if direction == "cap":
-        return _one_node(Generator(CAP, (lo, hi), ()))
-    raise ValueError(f"direction must be 'cup' or 'cap', got {direction!r}")
+    return _one_node(Generator(CUP, (), (WireType(base, z + 1),
+                                         WireType(base, z))))
 
 
-def cup(base: str, z: int = 0, table=None) -> Diagram:
-    return bend(base, z, "cup", table)
-
-
-def cap(base: str, z: int = 0, table=None) -> Diagram:
-    return bend(base, z, "cap", table)
+def cap(base: str, z: int = 0) -> Diagram:
+    """A cap effect ``[b^z, b^(z+1)] -> []``, oriented as for :func:`cup`."""
+    return _one_node(Generator(CAP, (WireType(base, z),
+                                     WireType(base, z + 1)), ()))
 
 
 def swap(u: WireType, v: WireType) -> Diagram:
     return _one_node(Generator(SWAP, (u, v), (v, u)))
 
 
-def spider(base: str, n_in: int, m_out: int, table=None) -> Diagram:
+def spider(base: str, n_in: int, m_out: int) -> Diagram:
     """A Frobenius spider with ``n_in + m_out`` legs of type ``base^0``."""
-    check_declared((WireType(base),), table)
     if n_in + m_out < 1:
         raise ZeroArity("a spider needs at least one leg")
     t = WireType(base)
@@ -527,9 +516,18 @@ def diagram_from_json(data: dict) -> Diagram:
             raise ValueError(f"{where} field {key!r} must list type strings")
         return tuple(parse_wiretype(t) for t in tokens)
 
+    entries = require(data, "nodes", list, "diagram", [])
+    ids = [require(e, "id", int, "diagram node") for e in entries]
+    if sorted(ids) != list(range(len(ids))):
+        raise ValueError("diagram node field 'id' must number the nodes "
+                         "0 to n-1, each once")
+    edges = require(data, "edges", list, "diagram", [])
+    if {len(w) if type(w) is list else 0 for w in edges} - {4} \
+            or {type(x) for w in edges for x in w} - {int}:
+        raise ValueError("diagram field 'edges' must list edges of four "
+                         "integers")
     nodes = []
-    for entry in sorted(require(data, "nodes", list, "diagram", []),
-                        key=lambda e: require(e, "id", int, "diagram node")):
+    for entry in sorted(entries, key=lambda e: e["id"]):
         gen = Generator(
             kind=require(entry, "kind", str, "diagram node"),
             dom=types(entry, "dom", "diagram node"),
@@ -549,8 +547,8 @@ def diagram_from_json(data: dict) -> Diagram:
         dom=types(data, "inputs", "diagram", []),
         cod=types(data, "outputs", "diagram", []),
         nodes=tuple(nodes),
-        wires=tuple(tuple(w) for w in require(data, "edges", list, "diagram", [])),
-        doubled=bool(data.get("doubled", False)),
+        wires=tuple(tuple(w) for w in edges),
+        doubled=require(data, "doubled", bool, "diagram", False),
     )
     table = set(data.get("types", {}))
     if table:
@@ -561,11 +559,3 @@ def diagram_from_json(data: dict) -> Diagram:
     if problems:
         raise InvalidDiagram("; ".join(str(v) for v in problems))
     return d
-
-
-def dumps(d: Diagram) -> str:
-    return json.dumps(diagram_to_json(d), indent=2, sort_keys=True)
-
-
-def loads(text: str) -> Diagram:
-    return diagram_from_json(json.loads(text))

@@ -63,10 +63,6 @@ class UnknownWord(StringCalcError):
     """A word has no lexicon entry."""
 
 
-class PayloadMissing(StringCalcError):
-    """A lexicon entry references a payload that was never supplied."""
-
-
 class AmbiguousParse(StringCalcError):
     """More than one parse and no index to pick one."""
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import diagram as dg
 from .diagram import BOX, CAP, CUP, OUT, SPIDER, Diagram, Generator
-from .errors import PayloadMissing, TypeMismatch, UnknownWord, require
+from .errors import MissingPayload, TypeMismatch, UnknownWord, require
 from .tensors import Model, Payload, Tensor
 from .types import TypeList, WireType, parse_typelist, typelist_str
 
@@ -43,6 +43,10 @@ __all__ = [
 
 STRUCTURAL_KINDS = ("structural:copula", "structural:negation",
                     "structural:relpron")
+
+#: The entry combinations :func:`parse` tries by default and
+#: :func:`residual_report` always, so both see the same ones.
+MAX_COMBINATIONS = 64
 
 
 @dataclass(frozen=True)
@@ -95,7 +99,7 @@ class ParseWitness:
 
 def parse(lexicon: PregroupLexicon, words: list[str],
           target: TypeList | str = (WireType("s"),),
-          max_combinations: int = 64) -> list[ParseWitness]:
+          max_combinations: int = MAX_COMBINATIONS) -> list[ParseWitness]:
     """All reductions of the sentence to *target*, in deterministic order.
 
     Entry combinations are enumerated in lexicon order, capped at
@@ -228,8 +232,8 @@ def _bits(mask: int):
         mask ^= low
 
 
-def residual_report(lexicon: PregroupLexicon, words: list[str],
-                    max_combinations: int = 64) -> list[tuple[tuple[int, ...], str]]:
+def residual_report(lexicon: PregroupLexicon,
+                    words: list[str]) -> list[tuple[tuple[int, ...], str]]:
     """Best-effort residuals per entry combination (for NoParse messages).
 
     Greedily cancels the leftmost adjacent pair until stuck, in one left
@@ -238,7 +242,7 @@ def residual_report(lexicon: PregroupLexicon, words: list[str],
     """
     choices = [range(len(lexicon.lookup(w))) for w in words]
     report = []
-    for combo in islice(product(*choices), max_combinations):
+    for combo in islice(product(*choices), MAX_COMBINATIONS):
         stack: list[WireType] = []
         for word, k in zip(words, combo):
             for t in lexicon.entries[word][k].type:
@@ -259,14 +263,13 @@ def grammar_diagram(words: list[str], witness: ParseWitness,
 
     Open outputs are exactly the residual wires of the witness.
     """
-    table = set(lexicon.bases)
     nodes: list[Generator] = []
     wires: list[tuple[int, int, int, int]] = []
     row: list[WireType] = []
     feeds: list[tuple[int, int]] = []  # row output -> (node, port) feeding it
     for pos, word in enumerate(words):
         state = word_state(lexicon.lookup(word)[witness.entry_indices[pos]],
-                           lexicon, table)
+                           lexicon)
         shift = len(nodes)
         out = {dp: (sn + shift, sp) for sn, sp, dn, dp in state.wires if dn == OUT}
         wires += [(sn + shift, sp, dn + shift, dp)
@@ -308,19 +311,19 @@ def _link_partners(flat, links) -> dict[int, int]:
     return partner
 
 
-def word_state(entry: LexEntry, lexicon: PregroupLexicon, table=None) -> Diagram:
+def word_state(entry: LexEntry, lexicon: PregroupLexicon) -> Diagram:
     """The state diagram for one lexicon entry: one box, or wiring."""
     if entry.kind in ("pure", "mixed", "structural:negation") and \
             entry.payload not in lexicon.payloads:
-        raise PayloadMissing(f"word {entry.word!r} payload {entry.payload!r}")
+        raise MissingPayload(f"word {entry.word!r} payload {entry.payload!r}")
     if entry.kind in ("pure", "mixed"):
         return dg.make_generator(entry.word, (), entry.type,
-                                 payload=entry.payload, table=table)
+                                 payload=entry.payload)
     if entry.kind in ("structural:copula", "structural:negation"):
         return _copula_state(entry)
     if entry.kind == "structural:relpron":
         return _relpron_state(entry)
-    raise PayloadMissing(f"unknown payload kind {entry.kind!r} for {entry.word!r}")
+    raise MissingPayload(f"unknown payload kind {entry.kind!r} for {entry.word!r}")
 
 
 def _copula_state(entry: LexEntry) -> Diagram:
@@ -451,6 +454,8 @@ def _tensor_from_data(raw: dict, where: str, shape: tuple[int, ...]) -> Tensor:
             or ((arr == 0) | (arr == 1)).any() and _holds_bool(data):
         raise ValueError(f"{where} field 'data' must list numbers or "
                          "[re, im] pairs")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{where} field 'data' must hold finite numbers")
     flat = arr.astype(float).view(complex) if arr.ndim == 2 \
         else arr.astype(complex)
     expected = int(np.prod(shape)) if shape else 1

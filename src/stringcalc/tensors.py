@@ -62,11 +62,16 @@ MAX_ELEMENTS = 1 << 26
 
 @dataclass(frozen=True)
 class Tensor:
-    """A dense complex multi-array with an explicit scalar factor."""
+    """A dense complex multi-array with an explicit scalar factor.
+
+    ``thick`` marks every axis as a thick wire, a ket index paired with
+    its bra index; only :func:`evaluate` sets it.
+    """
 
     shape: tuple[int, ...]
     data: np.ndarray
     scalar: complex = 1.0 + 0.0j
+    thick: bool = False
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=complex).reshape(self.shape)
@@ -85,19 +90,10 @@ class Tensor:
     def norm(self) -> float:
         return float(np.linalg.norm(self.to_array()))
 
-    def allclose(self, other: "Tensor", tolerance: float = 1e-9,
-                 up_to_scalar: bool = False) -> bool:
+    def allclose(self, other: "Tensor", tolerance: float = 1e-9) -> bool:
         if self.shape != other.shape:
             raise ShapeMismatch(f"{self.shape} vs {other.shape}")
         a, b = self.to_array(), other.to_array()
-        if up_to_scalar:
-            na, nb = np.linalg.norm(a), np.linalg.norm(b)
-            if na < tolerance or nb < tolerance:
-                return na < tolerance and nb < tolerance
-            # align the global phase via the largest entry of a
-            idx = np.unravel_index(np.argmax(np.abs(a)), a.shape) if a.shape else ()
-            phase = (b[idx] / a[idx]) if abs(a[idx]) > 0 else 1.0
-            return np.allclose(a * phase, b, atol=tolerance * max(nb, 1.0))
         scale = max(np.linalg.norm(a), np.linalg.norm(b), 1.0)
         return bool(np.linalg.norm(a - b) <= tolerance * scale)
 
@@ -265,7 +261,7 @@ def evaluate(d: Diagram, model: Model) -> Tensor:
         loops *= loops  # a thick loop is a ket loop beside a bra loop
     if loops != 1:
         result = result * loops
-    return Tensor(result.shape, result, scalar)
+    return Tensor(result.shape, result, scalar, thick)
 
 
 def _payload(gen, model: Model) -> Payload:
@@ -379,12 +375,13 @@ def _einsum(out: list[int], *operands) -> np.ndarray:
 def as_density_matrix(t: Tensor) -> np.ndarray:
     """Reshape a tensor to the square matrix it represents.
 
-    Rank-2 square tensors are used directly.  Otherwise every axis must
-    be a perfect square (a thick wire): each axis splits into its ket
-    and bra half and the halves are grouped.
+    A thick result of :func:`evaluate` splits each axis into its ket and
+    bra half, and the halves are grouped.  Any other rank-2 square tensor
+    is used directly; otherwise every axis must be a perfect square and
+    is split the same way.
     """
     arr = t.to_array()
-    if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
+    if not t.thick and arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
         return arr
     halves = []
     for s in arr.shape:
@@ -401,22 +398,22 @@ def as_density_matrix(t: Tensor) -> np.ndarray:
     return split.transpose(perm).reshape(side, side)
 
 
-def entropy(t: Tensor, hermitian_tol: float = 1e-9,
-            eigenvalue_floor: float = 1e-12) -> float:
+def entropy(t: Tensor) -> float:
     """Von Neumann entropy (base 2) of a tensor read as a density matrix.
 
-    The matrix is normalized to unit trace; eigenvalues below the floor
-    are treated as exact zeros.
+    The matrix must be Hermitian to within 1e-9 times its norm or 1,
+    whichever is larger.  It is normalized to unit trace, and eigenvalues
+    up to 1e-12 count as exact zeros.
     """
     rho = as_density_matrix(t)
     scale = max(np.linalg.norm(rho), 1.0)
-    if np.linalg.norm(rho - rho.conj().T) > hermitian_tol * scale:
+    if np.linalg.norm(rho - rho.conj().T) > 1e-9 * scale:
         raise NotHermitian("matrix is not Hermitian within tolerance")
     trace = np.trace(rho).real
     if trace <= 0:
         raise ValueError("density matrix must have positive trace")
     eigs = np.linalg.eigvalsh(rho) / trace
-    eigs = eigs[eigs > eigenvalue_floor]
+    eigs = eigs[eigs > 1e-12]
     return float(-np.sum(eigs * np.log2(eigs)))
 
 

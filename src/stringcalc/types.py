@@ -94,12 +94,7 @@ def typelist_str(types: TypeList) -> str:
 
 
 def check_declared(types: TypeList, table) -> None:
-    """Raise :class:`UnknownBase` unless every base appears in *table*.
-
-    A *table* of ``None`` disables the check.
-    """
-    if table is None:
-        return
+    """Raise :class:`UnknownBase` unless every base appears in *table*."""
     for t in types:
         if t.base not in table:
             raise UnknownBase(f"base {t.base!r} is not declared")

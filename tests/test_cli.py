@@ -84,6 +84,25 @@ def test_meaning_thick_reports_entropy(capsys):
     assert abs(payload["entropy"] - 1.584962500721156) < 1e-6
 
 
+def test_thick_meaning_of_two_open_wires_splits_ket_from_bra(capsys):
+    # a thick "n n" result is a (9, 9) array: two thick wires, not a matrix
+    code, out, err = run(capsys, "meaning", str(DATA / "language.json"),
+                         "Alice Bob", "--target", "n n", "--thick")
+    assert (code, err) == (0, "")
+    assert abs(json.loads(out)["entropy"]) < 1e-9  # a product of pure states
+
+
+def test_thick_overlap_of_pure_meanings_is_thin_cosine_squared(capsys):
+    args = ["similarity", str(DATA / "language.json"), "Alice Bob",
+            "Bob Alice", "--target", "n n"]
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    cosine = float(out)
+    code, out, _ = run(capsys, *args, "--thick", "--kind", "normalized-overlap")
+    assert code == 0
+    assert abs(float(out) - cosine ** 2) < 1e-9
+
+
 def test_ambiguous_parse_exit_3(capsys, tmp_path):
     lex = {
         "bases": {"n": 2, "s": 2},
@@ -197,13 +216,27 @@ def _lexicon_with(word):
         {"id": 0, "kind": "cup", "dom": [], "cod": ["b", "b"]},
         {"id": 1, "kind": "cap", "dom": ["a", "b"], "cod": []}],
         "edges": [[-1, 0, 1, 0], [0, 0, 1, 1], [0, 1, -2, 0]]}, "node 0"),
+    # diagram fields of the wrong type, or node ids that skip or repeat
+    (["normalize"], {"inputs": ["a"], "outputs": ["a"],
+                     "edges": [["x", 0, -2, 0]]}, "'edges'"),
+    (["normalize"], {"inputs": ["a"], "outputs": ["a"], "nodes": [
+        {"id": 3, "kind": "id", "dom": ["a"], "cod": ["a"]}],
+        "edges": [[-1, 0, 0, 0], [0, 0, -2, 0]]}, "'id'"),
+    (["normalize"], {"inputs": ["a"], "outputs": ["a"],
+                     "edges": [[-1, 0, -2, 0]], "doubled": "false"},
+     "'doubled'"),
+    # JSON as Python reads it: NaN and Infinity are numbers there
+    (["meaning", "Alice", "--target", "n"], {"bases": {"n": 2}, "words": [
+        {"word": "Alice", "type": "n", "data": [float("nan"), 1.0]}]},
+     "'data'"),
 ], ids=["copula-type", "negation-type", "relpron-no-repeat", "relpron-one-leg",
         "lexicon-no-bases", "presentation-no-rules", "node-no-kind",
         "dimension-not-int", "rule-from-not-list", "undeclared-base",
         "wiretype-not-string", "data-not-number", "dimension-zero",
         "dimension-bool", "data-pair-of-three", "data-numeric-string",
         "data-bool", "rate-undeclared-atom", "node-kind-unknown",
-        "node-shape-misfit"])
+        "node-shape-misfit", "edge-not-four-ints", "node-id-not-dense",
+        "doubled-not-bool", "data-not-finite"])
 def test_malformed_input_exit_2_with_one_error_line(capsys, tmp_path, argv,
                                                     data, named):
     path = tmp_path / "input.json"

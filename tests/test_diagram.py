@@ -66,19 +66,9 @@ def test_cup_cap_boundaries():
     assert validate(snake) == []
 
 
-def test_bend_rejects_bad_direction():
-    with pytest.raises(ValueError):
-        dg.bend("a", 0, "sideways")
-
-
 def test_spider_needs_a_leg():
     with pytest.raises(ZeroArity):
         dg.spider("a", 0, 0)
-
-
-def test_generator_table_check():
-    with pytest.raises(UnknownBase):
-        dg.box("f", (A,), (B,), table={"a": 2})
 
 
 def test_permutation_matches_numpy_transpose():
@@ -215,6 +205,21 @@ def test_from_json_rejects_undeclared_base():
     data = diagram_to_json(dg.box("f", (A,), (A,)))
     data["types"] = {"zzz": True}
     with pytest.raises(UnknownBase):
+        diagram_from_json(data)
+
+
+@pytest.mark.parametrize("change, field", [
+    (lambda data: data["edges"].append([0, 0, -2]), "'edges'"),
+    (lambda data: data["edges"].append([0, 0, -2, True]), "'edges'"),
+    (lambda data: data["nodes"][1].update(id=0), "'id'"),
+    (lambda data: data["nodes"][1].update(id=2), "'id'"),
+    (lambda data: data.update(doubled=1), "'doubled'"),
+], ids=["edge-of-three", "edge-with-bool", "id-repeated", "id-skipped",
+        "doubled-int"])
+def test_from_json_names_the_malformed_field(change, field):
+    data = diagram_to_json(dg.box("f", (A,), (B,)) >> dg.box("g", (B,), (A,)))
+    change(data)
+    with pytest.raises(ValueError, match=field):
         diagram_from_json(data)
 
 

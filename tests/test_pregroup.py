@@ -463,6 +463,8 @@ def test_long_sentence_parses_without_recursion_limit():
 @pytest.mark.parametrize("data", [
     [[1, 0, 5], [0, 1, 0]], [[1, 0], "2"], [[1, "2"], [0, 1]], [True, False],
     [[[1, 0]], [[0, 1]]], [True, 0.5], [[0.5, 0], [1, True]], [[1, 0], False],
+    [float("nan"), 1.0], [float("inf"), 1.0], [[1, 0], [0, -float("inf")]],
+    [[1, float("nan")], 0.5],
 ])
 def test_data_elements_must_be_numbers_or_pairs(data):
     with pytest.raises(ValueError, match="'data'"):

@@ -440,18 +440,6 @@ def test_tensor_json_round_trip():
     assert np.allclose(back.to_array(), t.to_array())
 
 
-def test_allclose_up_to_scalar():
-    t1 = Tensor.from_array(np.array([1.0, 2.0]))
-    t2 = Tensor.from_array(np.array([1.0j, 2.0j]))
-    assert t1.allclose(t2, up_to_scalar=True)
-    assert not t1.allclose(t2)
-    assert not t1.allclose(Tensor.from_array(np.array([1.0, 3.0])),
-                           up_to_scalar=True)
-    zero = Tensor.from_array(np.zeros(2))
-    assert zero.allclose(zero, up_to_scalar=True)
-    assert not zero.allclose(t1, up_to_scalar=True)
-
-
 def test_random_payloads_are_deterministic_and_shared():
     d = dg.box("f", (A,), (A,)) >> dg.box("f", (A,), (A,))
     m1 = random_payloads(Model(dims={"a": 3}), (d,), seed=9)

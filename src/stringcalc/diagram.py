@@ -22,7 +22,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InvalidDiagram, TypeMismatch, ZeroArity, require
+from .errors import (InvalidDiagram, TypeMismatch, ZeroArity, require,
+                     require_strings)
 from .types import (TypeList, WireType, check_declared, parse_wiretype,
                     typelist_str)
 
@@ -511,10 +512,8 @@ _FITS = {
 def diagram_from_json(data: dict) -> Diagram:
     """Inverse of :func:`diagram_to_json`; validates the result."""
     def types(obj, key: str, where: str, *default) -> TypeList:
-        tokens = require(obj, key, list, where, *default)
-        if not all(isinstance(t, str) for t in tokens):
-            raise ValueError(f"{where} field {key!r} must list type strings")
-        return tuple(parse_wiretype(t) for t in tokens)
+        return tuple(parse_wiretype(t)
+                     for t in require_strings(obj, key, where, *default))
 
     entries = require(data, "nodes", list, "diagram", [])
     ids = [require(e, "id", int, "diagram node") for e in entries]
@@ -528,12 +527,15 @@ def diagram_from_json(data: dict) -> Diagram:
                          "integers")
     nodes = []
     for entry in sorted(entries, key=lambda e: e["id"]):
+        payload = entry.get("payload")
+        if payload is not None:  # absent or null: no payload
+            require(entry, "payload", str, "diagram node")
         gen = Generator(
             kind=require(entry, "kind", str, "diagram node"),
             dom=types(entry, "dom", "diagram node"),
             cod=types(entry, "cod", "diagram node"),
-            name=entry.get("name", ""),
-            payload=entry.get("payload"),
+            name=require(entry, "name", str, "diagram node", ""),
+            payload=payload,
         )
         if gen.kind not in _FITS:
             raise ValueError(f"diagram node {entry['id']} has unknown kind "
@@ -550,7 +552,7 @@ def diagram_from_json(data: dict) -> Diagram:
         wires=tuple(tuple(w) for w in edges),
         doubled=require(data, "doubled", bool, "diagram", False),
     )
-    table = set(data.get("types", {}))
+    table = set(require(data, "types", dict, "diagram", {}))
     if table:
         for g in d.nodes:
             check_declared(g.dom + g.cod, table)

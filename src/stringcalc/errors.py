@@ -15,6 +15,14 @@ def require(obj, key: str, kind: type, where: str, default=None):
     return value
 
 
+def require_strings(obj, key: str, where: str, default=None) -> list:
+    """Like :func:`require` for a list whose every element is a string."""
+    items = require(obj, key, list, where, default)
+    if not all(isinstance(x, str) for x in items):
+        raise ValueError(f"{where} field {key!r} must list strings")
+    return items
+
+
 class StringCalcError(Exception):
     """Base class for all library errors."""
 

@@ -7,17 +7,24 @@ the conversion rate from atom ``a`` to atom ``b`` is the best verified
 ``m / n`` with ``n`` copies of ``a`` reaching ``m`` copies of ``b`` --
 a lower bound on the supremum over all ``n``, reported together with
 the search bounds that produced it.
+
+The search runs on count vectors, as in a vector addition system: a
+state is a tuple of counts indexed by the sorted atoms, and a rule is
+the counts its left side needs plus the delta it adds.  Multisets, as
+sorted tuples of atom names, appear only at the API and along the path
+of a witness.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 
-from .errors import StateExplosion, require
+from .errors import StateExplosion, require, require_strings
 
 __all__ = [
     "ResourcePresentation", "ConversionWitness", "RateResult",
@@ -26,6 +33,8 @@ __all__ = [
 ]
 
 Multiset = tuple[str, ...]  # canonical form: sorted tuple
+Counts = tuple[int, ...]  # a search state: how many of each sorted atom
+Rule = tuple[tuple[tuple[int, int], ...], Counts]  # (index, need) pairs, delta
 
 
 def as_multiset(items) -> Multiset:
@@ -70,48 +79,80 @@ def convertible(src, dst, presentation: ResourcePresentation,
     """Shortest conversion from *src* to *dst*, or ``None`` within bounds."""
     src, dst = as_multiset(src), as_multiset(dst)
     presentation.require_declared(src + dst)
-    parent: dict[Multiset, tuple[Multiset, int] | None] = {}
-    for state, how in _explore(src, presentation, max_steps, max_visited):
+    atoms, rules = _compile(presentation)
+    target = _counts(dst, atoms)
+    parent: dict[Counts, tuple[Counts, int] | None] = {}
+    for state, how in _explore(_counts(src, atoms), rules, max_steps,
+                               max_visited):
         parent[state] = how
-        if state == dst:
+        if state == target:
             steps = []
             while how is not None:
                 prev, rule_index = how
-                lhs = presentation.rules[rule_index][0]
-                context = Counter(prev) - Counter(lhs)
-                steps.append((rule_index, as_multiset(context.elements())))
+                context = list(prev)
+                for i, k in rules[rule_index][0]:
+                    context[i] -= k
+                steps.append((rule_index, _multiset(context, atoms)))
                 how = parent[prev]
             return ConversionWitness(src, dst, tuple(reversed(steps)))
     return None
 
 
-def _explore(src: Multiset, presentation: ResourcePresentation,
-             max_steps: int, max_visited: int):
-    """Breadth-first search from *src*, yielding each state as it is first
-    reached with ``(previous state, rule index)``, or ``None`` for *src*,
-    which comes first.  A state is yielded before the visited count is
-    checked against *max_visited*."""
-    rules = [(Counter(lhs), Counter(rhs)) for lhs, rhs in presentation.rules]
-    depth = {src: 0}
-    queue = deque([src])
+def _compile(presentation: ResourcePresentation) -> tuple[list[str], list[Rule]]:
+    """The sorted atoms, and each rule as the counts its left side needs
+    plus the delta it adds to a state; compiled once per search."""
+    atoms = sorted(presentation.atoms)
+    index = {atom: i for i, atom in enumerate(atoms)}
+    rules = []
+    for lhs, rhs in presentation.rules:
+        need, delta = Counter(lhs), [0] * len(atoms)
+        for atom, k in need.items():
+            delta[index[atom]] -= k
+        for atom in rhs:
+            delta[index[atom]] += 1
+        rules.append((tuple((index[a], k) for a, k in need.items()),
+                      tuple(delta)))
+    return atoms, rules
+
+
+def _counts(items, atoms: list[str]) -> Counts:
+    counts = Counter(items)
+    return tuple(counts[atom] for atom in atoms)
+
+
+def _multiset(counts, atoms: list[str]) -> Multiset:
+    return tuple(atom for atom, k in zip(atoms, counts) for _ in range(k))
+
+
+def _explore(src: Counts, rules: list[Rule], max_steps: int,
+             max_visited: int):
+    """Breadth-first search from the count vector *src*, level by level,
+    yielding each state as it is first reached with ``(previous state, rule
+    index)``, or ``None`` for *src*, which comes first.  A state is yielded
+    before the visited count is checked against *max_visited*."""
+    seen = {src}
     yield src, None
-    while queue:
-        state = queue.popleft()
-        if depth[state] >= max_steps:
-            continue
-        counts = Counter(state)
-        for rule_index, (need, gain) in enumerate(rules):
-            if any(counts[a] < k for a, k in need.items()):
-                continue
-            nxt = as_multiset(((counts - need) + gain).elements())
-            if nxt in depth:
-                continue
-            depth[nxt] = depth[state] + 1
-            yield nxt, (state, rule_index)
-            if len(depth) > max_visited:
-                raise StateExplosion(
-                    f"visited more than {max_visited} states")
-            queue.append(nxt)
+    frontier = [src]
+    for _ in range(max_steps):
+        if not frontier:
+            break
+        reached = []
+        for state in frontier:
+            for rule_index, (need, delta) in enumerate(rules):
+                for i, k in need:
+                    if state[i] < k:
+                        break
+                else:
+                    nxt = tuple(map(add, state, delta))
+                    if nxt in seen:
+                        continue
+                    seen.add(nxt)
+                    yield nxt, (state, rule_index)
+                    if len(seen) > max_visited:
+                        raise StateExplosion(
+                            f"visited more than {max_visited} states")
+                    reached.append(nxt)
+        frontier = reached
 
 
 @dataclass(frozen=True)
@@ -140,13 +181,15 @@ def conversion_rate(a: str, b: str, presentation: ResourcePresentation,
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     presentation.require_declared((a, b))
+    atoms, rules = _compile(presentation)
+    ib = atoms.index(b)
     best = RateResult(Fraction(0), 1, 0, n_max, max_steps)
     for n in range(1, n_max + 1):
-        reached = _explore(as_multiset([a] * n), presentation, max_steps,
+        reached = _explore(_counts([a] * n, atoms), rules, max_steps,
                            max_visited)
         for state, _ in reached:
-            m = len(state)
-            if m and all(x == b for x in state) and Fraction(m, n) > best.rate:
+            m = state[ib]  # pure b exactly when no other atom is left
+            if m * best.n > best.m * n and sum(state) == m:
                 best = RateResult(Fraction(m, n), n, m, n_max, max_steps)
     return best
 
@@ -154,10 +197,9 @@ def conversion_rate(a: str, b: str, presentation: ResourcePresentation,
 def presentation_from_json(data: dict) -> ResourcePresentation:
     """Schema: ``{"atoms": ["A"], "rules": [{"from": [...], "to": [...]}]}``."""
     return ResourcePresentation(
-        atoms=frozenset(str(a) for a in require(data, "atoms", list,
-                                                "presentation")),
-        rules=tuple((as_multiset(require(r, "from", list, "rule")),
-                     as_multiset(require(r, "to", list, "rule")))
+        atoms=frozenset(require_strings(data, "atoms", "presentation")),
+        rules=tuple((as_multiset(require_strings(r, "from", "rule")),
+                     as_multiset(require_strings(r, "to", "rule")))
                     for r in require(data, "rules", list, "presentation")),
     )
 

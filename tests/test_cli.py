@@ -164,6 +164,13 @@ def _lexicon_with(word):
         {"word": "Alice", "type": "n", "data": [1.0, 0.0]}, word]}
 
 
+def _one_box(fields):
+    """A diagram of one a-to-a box with the given extra node fields."""
+    return {"inputs": ["a"], "outputs": ["a"], "nodes": [
+        {"id": 0, "kind": "box", "dom": ["a"], "cod": ["a"], **fields}],
+        "edges": [[-1, 0, 0, 0], [0, 0, -2, 0]]}
+
+
 @pytest.mark.parametrize("argv, data, named", [
     # structural entries whose type does not fit their wiring
     (["meaning", "Alice does"], _lexicon_with(
@@ -229,6 +236,16 @@ def _lexicon_with(word):
     (["meaning", "Alice", "--target", "n"], {"bases": {"n": 2}, "words": [
         {"word": "Alice", "type": "n", "data": [float("nan"), 1.0]}]},
      "'data'"),
+    # atoms and rule sides that are not lists of strings
+    (["rate", "A", "A"], {"atoms": [1, "A"], "rules": []}, "'atoms'"),
+    (["rate", "A", "B"], {"atoms": ["A", "B"],
+                          "rules": [{"from": [["A"], "B"], "to": []}]},
+     "'from'"),
+    # box fields of the wrong type, and a types table that is not an object
+    (["normalize"], _one_box({"name": 5}), "'name'"),
+    (["normalize"], _one_box({"payload": [1]}), "'payload'"),
+    (["normalize"], {"types": "a", "inputs": ["a"], "outputs": ["a"],
+                     "edges": [[-1, 0, -2, 0]]}, "'types'"),
 ], ids=["copula-type", "negation-type", "relpron-no-repeat", "relpron-one-leg",
         "lexicon-no-bases", "presentation-no-rules", "node-no-kind",
         "dimension-not-int", "rule-from-not-list", "undeclared-base",
@@ -236,7 +253,9 @@ def _lexicon_with(word):
         "dimension-bool", "data-pair-of-three", "data-numeric-string",
         "data-bool", "rate-undeclared-atom", "node-kind-unknown",
         "node-shape-misfit", "edge-not-four-ints", "node-id-not-dense",
-        "doubled-not-bool", "data-not-finite"])
+        "doubled-not-bool", "data-not-finite", "atom-not-string",
+        "rule-side-not-strings", "node-name-not-string",
+        "node-payload-not-string", "types-not-object"])
 def test_malformed_input_exit_2_with_one_error_line(capsys, tmp_path, argv,
                                                     data, named):
     path = tmp_path / "input.json"

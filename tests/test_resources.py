@@ -1,10 +1,15 @@
+import random
+from collections import Counter, deque
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from stringcalc.errors import StateExplosion
-from stringcalc.resources import (ResourcePresentation, conversion_rate,
-                                  convertible, presentation_from_json)
+from stringcalc.resources import (ConversionWitness, RateResult,
+                                  ResourcePresentation, as_multiset,
+                                  conversion_rate, convertible,
+                                  presentation_from_json)
 
 PLUMBER = presentation_from_json(
     {"atoms": ["A"], "rules": [{"from": ["A", "A"], "to": ["A"]}]})
@@ -131,3 +136,93 @@ def test_rate_honours_max_visited():
 def test_rate_requires_positive_nmax():
     with pytest.raises(ValueError):
         conversion_rate("A", "B", DOUBLER, n_max=0)
+
+
+# The sorted-tuple, Counter-based search that the count-vector search
+# replaced, kept here as the reference that it must agree with exactly.
+
+def _reference_explore(src, presentation, max_steps, max_visited):
+    rules = [(Counter(lhs), Counter(rhs)) for lhs, rhs in presentation.rules]
+    depth = {src: 0}
+    queue = deque([src])
+    yield src, None
+    while queue:
+        state = queue.popleft()
+        if depth[state] >= max_steps:
+            continue
+        counts = Counter(state)
+        for rule_index, (need, gain) in enumerate(rules):
+            if any(counts[a] < k for a, k in need.items()):
+                continue
+            nxt = as_multiset(((counts - need) + gain).elements())
+            if nxt in depth:
+                continue
+            depth[nxt] = depth[state] + 1
+            yield nxt, (state, rule_index)
+            if len(depth) > max_visited:
+                raise StateExplosion(
+                    f"visited more than {max_visited} states")
+            queue.append(nxt)
+
+
+def _reference_convertible(src, dst, presentation, max_steps, max_visited):
+    src, dst = as_multiset(src), as_multiset(dst)
+    presentation.require_declared(src + dst)
+    parent = {}
+    for state, how in _reference_explore(src, presentation, max_steps,
+                                         max_visited):
+        parent[state] = how
+        if state == dst:
+            steps = []
+            while how is not None:
+                prev, rule_index = how
+                lhs = presentation.rules[rule_index][0]
+                context = Counter(prev) - Counter(lhs)
+                steps.append((rule_index, as_multiset(context.elements())))
+                how = parent[prev]
+            return ConversionWitness(src, dst, tuple(reversed(steps)))
+    return None
+
+
+def _reference_rate(a, b, presentation, n_max, max_steps, max_visited):
+    presentation.require_declared((a, b))
+    best = RateResult(Fraction(0), 1, 0, n_max, max_steps)
+    for n in range(1, n_max + 1):
+        for state, _ in _reference_explore(as_multiset([a] * n), presentation,
+                                           max_steps, max_visited):
+            m = len(state)
+            if m and all(x == b for x in state) and Fraction(m, n) > best.rate:
+                best = RateResult(Fraction(m, n), n, m, n_max, max_steps)
+    return best
+
+
+def _outcome(call, *args):
+    """The result of ``call(*args)``, or the type and message it raised."""
+    try:
+        return call(*args)
+    except StateExplosion as exc:
+        return type(exc), str(exc)
+
+
+def test_count_vector_search_matches_the_sorted_tuple_search():
+    rng = random.Random(20240601)
+    for _ in range(400):
+        atoms = "ABCDE"[:rng.randint(1, 5)]
+        pres = ResourcePresentation(
+            atoms=frozenset(atoms),
+            rules=tuple((as_multiset(rng.choices(atoms, k=rng.randint(0, 2))),
+                         as_multiset(rng.choices(atoms, k=rng.randint(0, 3))))
+                        for _ in range(rng.randint(0, 5))))
+        bounds = (rng.randint(0, 10), rng.choice((5, 50, 500, 10 ** 6)))
+        src = as_multiset(rng.choices(atoms, k=rng.randint(0, 4)))
+        # half the targets are states the search reaches within ten steps
+        near = [state for state, _ in islice(
+            _reference_explore(src, pres, 10, 10 ** 6), 50)]
+        dst = rng.choice((rng.choices(atoms, k=rng.randint(0, 6)),
+                          rng.choice(near)))
+        assert _outcome(convertible, src, dst, pres, *bounds) == \
+            _outcome(_reference_convertible, src, dst, pres, *bounds)
+        a, b = rng.sample(atoms, 2) if len(atoms) > 1 else (atoms, atoms)
+        n_max = rng.randint(1, 4)
+        assert _outcome(conversion_rate, a, b, pres, n_max, *bounds) == \
+            _outcome(_reference_rate, a, b, pres, n_max, *bounds)

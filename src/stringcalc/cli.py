@@ -7,6 +7,9 @@ repeated runs with the same inputs are byte-identical.
 Exit codes: 0 success, 1 domain negative (no parse, verification
 failure, no entropy decrease), 2 input error, 3 ambiguous parse,
 4 resource exhaustion.
+
+Each command imports the modules it runs in its own body, so ``rate``
+and ``normalize`` never load numpy.
 """
 
 from __future__ import annotations
@@ -16,11 +19,8 @@ import json
 import sys
 from pathlib import Path
 
-from . import diagram as dg
-from . import pregroup, protocols, resources, rewrite, tensors
 from .errors import (AmbiguousParse, InvalidDiagram, NoParse, StateExplosion,
                      StringCalcError, UnknownBase, UnknownWord)
-from .types import typelist_str
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -30,7 +30,7 @@ EXIT_EXHAUSTED = 4
 
 # An error exits with the code of its nearest class here; any other
 # exception is a bug and keeps its traceback.
-EXIT_CODES = {ValueError: EXIT_INPUT, FileNotFoundError: EXIT_INPUT,
+EXIT_CODES = {ValueError: EXIT_INPUT, OSError: EXIT_INPUT,
               UnknownWord: EXIT_INPUT, UnknownBase: EXIT_INPUT,
               InvalidDiagram: EXIT_INPUT,
               AmbiguousParse: EXIT_AMBIGUOUS, StateExplosion: EXIT_EXHAUSTED,
@@ -114,6 +114,9 @@ def _links_str(witness) -> str:
 
 
 def cmd_parse(args) -> int:
+    from . import pregroup
+    from .types import typelist_str
+
     lexicon = pregroup.load_lexicon(args.lexicon)
     words = args.sentence.split()
     witnesses = pregroup.parse(lexicon, words, target=args.target)
@@ -141,6 +144,8 @@ def cmd_parse(args) -> int:
 
 def _sentence_tensor(lexicon, sentence: str, target: str, thick: bool,
                      parse_index: int | None):
+    from . import pregroup, tensors
+
     words = sentence.split()
     witnesses = pregroup.parse(lexicon, words, target=target)
     if not witnesses:
@@ -160,6 +165,8 @@ def _sentence_tensor(lexicon, sentence: str, target: str, thick: bool,
 
 
 def cmd_meaning(args) -> int:
+    from . import pregroup, tensors
+
     lexicon = pregroup.load_lexicon(args.lexicon)
     t = _sentence_tensor(lexicon, args.sentence, args.target,
                          args.thick, args.parse_index)
@@ -171,6 +178,8 @@ def cmd_meaning(args) -> int:
 
 
 def cmd_similarity(args) -> int:
+    from . import pregroup, tensors
+
     lexicon = pregroup.load_lexicon(args.lexicon)
     t1 = _sentence_tensor(lexicon, args.sentence1, args.target,
                           args.thick, args.parse_index)
@@ -185,6 +194,8 @@ def cmd_similarity(args) -> int:
 
 
 def cmd_disambiguate(args) -> int:
+    from . import pregroup, tensors
+
     lexicon = pregroup.load_lexicon(args.lexicon)
     entry = lexicon.lookup(args.word)[0]
     state = pregroup.word_state(entry, lexicon)
@@ -202,6 +213,9 @@ def cmd_disambiguate(args) -> int:
 
 
 def cmd_normalize(args) -> int:
+    from . import diagram as dg
+    from . import rewrite
+
     d = dg.diagram_from_json(json.loads(Path(args.diagram).read_text()))
     nf = rewrite.normalize(d)
     print(json.dumps(dg.diagram_to_json(nf.diagram), indent=2, sort_keys=True))
@@ -209,6 +223,8 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_teleport(args) -> int:
+    from . import protocols
+
     reports = protocols.verify_teleportation(
         args.dim, args.trials, tolerance=args.tol, seed=args.seed)
     if args.format == "json":
@@ -224,6 +240,8 @@ def cmd_teleport(args) -> int:
 
 
 def cmd_rate(args) -> int:
+    from . import resources
+
     presentation = resources.load_presentation(args.presentation)
     result = resources.conversion_rate(
         args.source, args.target, presentation,

@@ -33,7 +33,8 @@ from . import diagram as dg
 from .diagram import BOX, CAP, CUP, OUT, SPIDER, Diagram, Generator
 from .errors import MissingPayload, TypeMismatch, UnknownWord, require
 from .tensors import Model, Payload, Tensor
-from .types import TypeList, WireType, parse_typelist, typelist_str
+from .types import (TypeList, WireType, check_declared, parse_typelist,
+                    typelist_str)
 
 __all__ = [
     "LexEntry", "PregroupLexicon", "ParseWitness",
@@ -106,11 +107,13 @@ def parse(lexicon: PregroupLexicon, words: list[str],
     ``max_combinations``; within one combination, witnesses come out in
     leftmost-link order.  The cap counts every combination, also those
     whose per-base charge differs from the target's: they cannot reduce
-    to it and are skipped without calling :func:`_reductions`.
+    to it and are skipped without calling :func:`_reductions`.  A target
+    base the lexicon does not declare raises :class:`UnknownBase`.
     """
     if isinstance(target, str):
         target = parse_typelist(target)
     target = tuple(target)
+    check_declared(target, lexicon.bases)
     entries = [lexicon.lookup(w) for w in words]
     bases = sorted({t.base for t in target}.union(
         *({t.base for t in e.type} for es in entries for e in es)))

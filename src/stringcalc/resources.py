@@ -77,6 +77,8 @@ def convertible(src, dst, presentation: ResourcePresentation,
                 max_steps: int = 64,
                 max_visited: int = 10 ** 6) -> ConversionWitness | None:
     """Shortest conversion from *src* to *dst*, or ``None`` within bounds."""
+    if max_steps < 0:
+        raise ValueError("max_steps must be at least 0")
     src, dst = as_multiset(src), as_multiset(dst)
     presentation.require_declared(src + dst)
     atoms, rules = _compile(presentation)
@@ -180,6 +182,8 @@ def conversion_rate(a: str, b: str, presentation: ResourcePresentation,
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    if max_steps < 0:
+        raise ValueError("max_steps must be at least 0")
     presentation.require_declared((a, b))
     atoms, rules = _compile(presentation)
     ib = atoms.index(b)

@@ -35,7 +35,6 @@ before numpy allocates it.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import math
 from dataclasses import dataclass, field, replace
@@ -469,6 +468,8 @@ def random_payloads(model: Model, diagrams, seed: int = 0) -> Model:
     The same reference (or, failing that, the same box signature) gets
     the same array, so shared boxes across diagrams stay equal.
     """
+    import hashlib  # here, its only use, so other callers do not load it
+
     payloads = dict(model.payloads)
     for d in diagrams:
         for gen in d.nodes:

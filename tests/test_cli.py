@@ -53,6 +53,17 @@ def test_missing_file_exit_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["parse", str(DATA), "Alice"],
+    ["normalize", str(DATA)],
+    ["rate", str(DATA), "A", "B"],
+], ids=["parse", "normalize", "rate"])
+def test_directory_input_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unknown_word_exit_2(capsys):
     code, _, err = run(capsys, "parse", str(DATA / "language.json"),
                        "Alice frobnicates")
@@ -246,6 +257,13 @@ def _one_box(fields):
     (["normalize"], _one_box({"payload": [1]}), "'payload'"),
     (["normalize"], {"types": "a", "inputs": ["a"], "outputs": ["a"],
                      "edges": [[-1, 0, -2, 0]]}, "'types'"),
+    # a target base the lexicon does not declare, and a negative step bound
+    (["parse", "Alice", "--target", "q"], {"bases": {"n": 2}, "words": [
+        {"word": "Alice", "type": "n", "data": [1.0, 0.0]}]}, "'q'"),
+    (["meaning", "Alice", "--target", "q"], {"bases": {"n": 2}, "words": [
+        {"word": "Alice", "type": "n", "data": [1.0, 0.0]}]}, "'q'"),
+    (["rate", "A", "B", "--max-steps", "-1"], {"atoms": ["A", "B"],
+     "rules": [{"from": ["A"], "to": ["B", "B"]}]}, "max_steps"),
 ], ids=["copula-type", "negation-type", "relpron-no-repeat", "relpron-one-leg",
         "lexicon-no-bases", "presentation-no-rules", "node-no-kind",
         "dimension-not-int", "rule-from-not-list", "undeclared-base",
@@ -255,7 +273,9 @@ def _one_box(fields):
         "node-shape-misfit", "edge-not-four-ints", "node-id-not-dense",
         "doubled-not-bool", "data-not-finite", "atom-not-string",
         "rule-side-not-strings", "node-name-not-string",
-        "node-payload-not-string", "types-not-object"])
+        "node-payload-not-string", "types-not-object",
+        "parse-undeclared-target", "meaning-undeclared-target",
+        "rate-negative-max-steps"])
 def test_malformed_input_exit_2_with_one_error_line(capsys, tmp_path, argv,
                                                     data, named):
     path = tmp_path / "input.json"

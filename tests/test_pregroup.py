@@ -8,7 +8,7 @@ from conftest import oracle_linksets
 
 from stringcalc import pregroup
 from stringcalc.diagram import BOX, SWAP, validate
-from stringcalc.errors import TypeMismatch, UnknownWord
+from stringcalc.errors import TypeMismatch, UnknownBase, UnknownWord
 from stringcalc.pregroup import (grammar_diagram, lexicon_from_json, parse,
                                  residual_report, word_state)
 from stringcalc.tensors import double_array, entropy, evaluate
@@ -83,6 +83,14 @@ def test_target_other_than_s(lex):
     # reduce to the noun type: a bare noun parses, a sentence does not
     assert len(parse(lex, ["Alice"], target="n")) == 1
     assert parse(lex, ["Alice", "sleeps"], target="n") == []
+
+
+def test_undeclared_target_base_raises(lex):
+    # "q" is no base of the lexicon: an input error, not "no parse"
+    with pytest.raises(UnknownBase, match="'q'"):
+        parse(lex, ["Alice", "hates", "Bob"], target="q")
+    with pytest.raises(UnknownBase, match="'q'"):
+        parse(lex, ["Alice"], target=(WireType("n"), WireType("q", 1)))
 
 
 def test_ambiguous_lexicon_yields_multiple_witnesses():

@@ -83,6 +83,16 @@ def test_max_steps_bounds_search_depth():
     assert convertible(("A",) * 5, ("A",), PLUMBER, max_steps=4) is not None
 
 
+def test_negative_max_steps_rejected():
+    with pytest.raises(ValueError, match="max_steps must be at least 0"):
+        convertible(("A",), ("B", "B"), DOUBLER, max_steps=-1)
+    with pytest.raises(ValueError, match="max_steps must be at least 0"):
+        conversion_rate("A", "B", DOUBLER, max_steps=-1)
+    # zero steps is a valid bound: only the source itself is reachable
+    assert convertible(("A",), ("A",), DOUBLER, max_steps=0).steps == ()
+    assert conversion_rate("A", "B", DOUBLER, max_steps=0).m == 0
+
+
 def test_state_explosion_raises():
     with pytest.raises(StateExplosion):
         convertible(("A",), ("B",), DOUBLER, max_visited=1)

@@ -52,8 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="string diagrams, pregroup parsing, tensor meanings")
     top.add_argument("--seed", type=int, default=0)
     top.add_argument("--tol", type=float, default=1e-9)
-    top.add_argument("--format", choices=("text", "json", "tsv"),
-                     default="text")
+    top.add_argument("--format", choices=("text", "json"), default="text")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="type-reduce a sentence")

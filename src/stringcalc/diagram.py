@@ -18,7 +18,6 @@ writer sort them.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -104,9 +103,6 @@ class Diagram:
 
     def src_type(self, sn: int, sp: int) -> WireType:
         return self.dom[sp] if sn == IN else self.nodes[sn].cod[sp]
-
-    def dst_type(self, dn: int, dp: int) -> WireType:
-        return self.cod[dp] if dn == OUT else self.nodes[dn].dom[dp]
 
     # -- structural equality -------------------------------------------
 
@@ -305,29 +301,41 @@ class Violation:
 
 
 def validate(d: Diagram) -> list[Violation]:
-    """Check the port-graph invariants; an empty list means well-formed."""
+    """Check the port-graph invariants; an empty list means well-formed.
+
+    The violations are reported in this order:
+
+    * ``BadEndpoint``: a wire end names a node that does not exist, or a
+      port that is negative or past the end of that node's (or the
+      boundary's) port list;
+    * ``TypeMismatch``: a wire joins ports of different wire types;
+    * ``PortReuse``: a port is the end of more than one wire;
+    * ``OpenPortUnused``: a boundary port is the end of no wire;
+    * ``PortUnused``: a node port is the end of no wire;
+    * ``Cycle``: the wires between nodes form a directed cycle.
+    """
     found: list[Violation] = []
+    n = len(d.nodes)
     src_seen: dict[tuple[int, int], int] = {}
     dst_seen: dict[tuple[int, int], int] = {}
+    succ: list[set[int]] = [set() for _ in range(n)]
     for w in d.wires:
         sn, sp, dn, dp = w
         src_seen[(sn, sp)] = src_seen.get((sn, sp), 0) + 1
         dst_seen[(dn, dp)] = dst_seen.get((dn, dp), 0) + 1
-        if sn != IN and not (0 <= sn < len(d.nodes) and 0 <= sp < len(d.nodes[sn].cod)):
-            found.append(Violation("BadEndpoint", f"wire {w} has no source port"))
-            continue
-        if dn != OUT and not (0 <= dn < len(d.nodes) and 0 <= dp < len(d.nodes[dn].dom)):
-            found.append(Violation("BadEndpoint", f"wire {w} has no target port"))
-            continue
-        if sn == IN and not sp < len(d.dom):
-            found.append(Violation("BadEndpoint", f"wire {w} exceeds input boundary"))
-            continue
-        if dn == OUT and not dp < len(d.cod):
-            found.append(Violation("BadEndpoint", f"wire {w} exceeds output boundary"))
-            continue
-        a, b = d.src_type(sn, sp), d.dst_type(dn, dp)
-        if a != b:
-            found.append(Violation("TypeMismatch", f"wire {w} joins {a} to {b}"))
+        src = d.dom if sn == IN else d.nodes[sn].cod if 0 <= sn < n else ()
+        dst = d.cod if dn == OUT else d.nodes[dn].dom if 0 <= dn < n else ()
+        if not 0 <= sp < len(src):
+            where = "exceeds input boundary" if sn == IN else "has no source port"
+            found.append(Violation("BadEndpoint", f"wire {w} {where}"))
+        elif not 0 <= dp < len(dst):
+            where = "exceeds output boundary" if dn == OUT else "has no target port"
+            found.append(Violation("BadEndpoint", f"wire {w} {where}"))
+        elif src[sp] != dst[dp]:
+            found.append(Violation("TypeMismatch",
+                                   f"wire {w} joins {src[sp]} to {dst[dp]}"))
+        if 0 <= sn < n and 0 <= dn < n:
+            succ[sn].add(dn)
     for (ep, count) in list(src_seen.items()) + list(dst_seen.items()):
         if count > 1:
             found.append(Violation("PortReuse", f"port {ep} used {count} times"))
@@ -344,28 +352,27 @@ def validate(d: Diagram) -> list[Violation]:
         for p in range(len(gen.cod)):
             if (i, p) not in src_seen:
                 found.append(Violation("PortUnused", f"output port ({i}, {p}) unused"))
-    if _has_cycle(d):
+    # Kahn's algorithm: the nodes never freed lie on or behind a cycle
+    indeg = [0] * n
+    for js in succ:
+        for j in js:
+            indeg[j] += 1
+    free = [i for i in range(n) if not indeg[i]]
+    for i in free:  # grows as nodes are freed
+        for j in succ[i]:
+            indeg[j] -= 1
+            if not indeg[j]:
+                free.append(j)
+    if len(free) != n:
         found.append(Violation("Cycle", "port-graph has a directed cycle"))
     return found
 
 
-def _has_cycle(d: Diagram) -> bool:
-    succ: dict[int, set[int]] = {i: set() for i in range(len(d.nodes))}
-    indeg = {i: 0 for i in range(len(d.nodes))}
-    for sn, _, dn, _ in d.wires:
-        if sn >= 0 and dn >= 0 and dn not in succ[sn]:
-            succ[sn].add(dn)
-            indeg[dn] += 1
-    queue = deque(i for i, k in indeg.items() if k == 0)
-    seen = 0
-    while queue:
-        i = queue.popleft()
-        seen += 1
-        for j in succ[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                queue.append(j)
-    return seen != len(d.nodes)
+def check_valid(d: Diagram) -> None:
+    """Raise ``InvalidDiagram`` naming every violation if *d* has any."""
+    problems = validate(d)
+    if problems:
+        raise InvalidDiagram("; ".join(str(v) for v in problems))
 
 
 # -- canonical ordering --------------------------------------------------
@@ -379,83 +386,52 @@ def canonical_order(d: Diagram) -> list[int]:
     components are ordered by their minimal encoding over all choices of
     traversal root.
     """
-    seen: set[int] = set()
-    order: list[int] = []
-    queue: deque[int] = deque()
-
-    def discover(n: int) -> None:
-        if n >= 0 and n not in seen:
-            seen.add(n)
-            order.append(n)
-            queue.append(n)
-
-    for k in range(len(d.dom)):
-        discover(d._src_map[(IN, k)][2])
-    for k in range(len(d.cod)):
-        discover(d._dst_map[(OUT, k)][0])
-    _expand(d, queue, discover)
-
-    rest = [i for i in range(len(d.nodes)) if i not in seen]
-    if rest:
-        bests = [min(_component_order(d, root, comp) for root in comp)
-                 for comp in _components(d, rest)]
-        for _, comp_order in sorted(bests):
-            order.extend(comp_order)
+    order = _bfs(d, [d._src_map[(IN, k)][2] for k in range(len(d.dom))]
+                 + [d._dst_map[(OUT, k)][0] for k in range(len(d.cod))])
+    rest = set(range(len(d.nodes))).difference(order)
+    bests = []
+    while rest:
+        comp = _bfs(d, [min(rest)])
+        rest.difference_update(comp)
+        bests.append(min(_component_order(d, _bfs(d, [root]))
+                         for root in comp))
+    for _, comp_order in sorted(bests):
+        order.extend(comp_order)
     return order
 
 
-def _expand(d: Diagram, queue: deque, discover) -> None:
-    while queue:
-        i = queue.popleft()
-        gen = d.nodes[i]
-        for p in range(len(gen.dom)):
-            discover(d._dst_map[(i, p)][0])
-        for p in range(len(gen.cod)):
-            discover(d._src_map[(i, p)][2])
+def _bfs(d: Diagram, roots: list[int]) -> list[int]:
+    """The nodes reached from *roots* along wires either way, breadth first.
 
-
-def _components(d: Diagram, rest: list[int]) -> list[list[int]]:
-    rest_set = set(rest)
-    neighbours: dict[int, set[int]] = {i: set() for i in rest}
-    for sn, _, dn, _ in d.wires:
-        if sn in rest_set and dn in rest_set:
-            neighbours[sn].add(dn)
-            neighbours[dn].add(sn)
-    comps = []
-    todo = set(rest)
-    while todo:
-        root = min(todo)
-        comp = []
-        stack = [root]
-        todo.discard(root)
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in neighbours[i]:
-                if j in todo:
-                    todo.discard(j)
-                    stack.append(j)
-        comps.append(comp)
-    return comps
-
-
-def _component_order(d: Diagram, root: int, comp: list[int]) -> tuple[tuple, list[int]]:
-    comp_set = set(comp)
-    seen: set[int] = set()
+    A node's neighbours follow it in port order, inputs first.  The
+    boundary is never entered, so from a node of a scalar component this
+    numbers that component.
+    """
     order: list[int] = []
-    queue: deque[int] = deque()
+    seen = {IN, OUT}
+    ends = list(roots)
+    for i in ends:  # grows as nodes are reached
+        if i not in seen:
+            seen.add(i)
+            order.append(i)
+            gen = d.nodes[i]
+            ends += [d._dst_map[(i, p)][0] for p in range(len(gen.dom))]
+            ends += [d._src_map[(i, p)][2] for p in range(len(gen.cod))]
+    return order
 
-    def discover(n: int) -> None:
-        if n in comp_set and n not in seen:
-            seen.add(n)
-            order.append(n)
-            queue.append(n)
 
-    discover(root)
-    _expand(d, queue, discover)
+def _component_order(d: Diagram, order: list[int]) -> tuple[tuple, list[int]]:
+    """The encoding of a scalar component numbered in *order*, and *order*."""
+    comp = set(order)
     # no wire joins the component to the boundary or to another component
-    nodes, wires = _renumber(d, order, [w for w in d.wires if w[0] in comp_set])
-    return ((tuple(g.signature() for g in nodes), wires), order)
+    nodes, wires = _renumber(d, order, [w for w in d.wires if w[0] in comp])
+    return ((tuple(_rank(g) for g in nodes), wires), order)
+
+
+def _rank(g: Generator) -> tuple:
+    """*g*'s signature made totally ordered: no payload sorts first."""
+    *head, payload = g.signature()
+    return (*head, payload is not None, payload or "")
 
 
 def _renumber(d: Diagram, order: list[int], wires) -> tuple[tuple, tuple]:
@@ -557,7 +533,5 @@ def diagram_from_json(data: dict) -> Diagram:
         for g in d.nodes:
             check_declared(g.dom + g.cod, table)
         check_declared(d.dom + d.cod, table)
-    problems = validate(d)
-    if problems:
-        raise InvalidDiagram("; ".join(str(v) for v in problems))
+    check_valid(d)
     return d

@@ -23,8 +23,8 @@ import heapq
 from dataclasses import dataclass
 
 from . import diagram as dg
-from .diagram import CAP, CUP, IDENTITY, SWAP, Diagram, validate
-from .errors import InvalidDiagram, ShapeMismatch
+from .diagram import CAP, CUP, IDENTITY, SWAP, Diagram, check_valid
+from .errors import ShapeMismatch
 
 __all__ = ["NormalForm", "normalize", "equal"]
 
@@ -43,9 +43,7 @@ def normalize(d: Diagram) -> NormalForm:
     rules have no overlapping redexes, so the result is confluent:
     normalizing a normal form is a no-op.
     """
-    problems = validate(d)
-    if problems:
-        raise InvalidDiagram("; ".join(str(v) for v in problems))
+    check_valid(d)
 
     nodes: dict[int, dg.Generator] = dict(enumerate(d.nodes))
     # the live port map: an output port to the input port it feeds, and back

@@ -42,10 +42,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .diagram import (BOX, CAP, CUP, IDENTITY, IN, OUT, SPIDER, SWAP,
-                      Diagram, validate)
-from .errors import (DimensionMismatch, InvalidDiagram, MissingPayload,
-                     NotHermitian, NotSquare, ShapeMismatch, StateExplosion,
-                     ZeroNorm)
+                      Diagram, check_valid)
+from .errors import (DimensionMismatch, MissingPayload, NotHermitian,
+                     NotSquare, ShapeMismatch, StateExplosion, ZeroNorm)
 
 __all__ = [
     "Tensor", "Payload", "Model",
@@ -116,9 +115,7 @@ class Model:
 
 def double(d: Diagram) -> Diagram:
     """Mark a diagram for thick-wire (density-matrix) evaluation."""
-    problems = validate(d)
-    if problems:
-        raise InvalidDiagram("; ".join(str(v) for v in problems))
+    check_valid(d)
     return replace(d, doubled=True)
 
 
@@ -135,9 +132,7 @@ def double_array(a: np.ndarray) -> np.ndarray:
 
 def evaluate(d: Diagram, model: Model) -> Tensor:
     """Contract a diagram to a tensor over its open ports (inputs first)."""
-    problems = validate(d)
-    if problems:
-        raise InvalidDiagram("; ".join(str(v) for v in problems))
+    check_valid(d)
     thick = d.doubled or model.doubling == "thick"
 
     def wdim(base: str) -> int:

@@ -182,6 +182,13 @@ def _one_box(fields):
         "edges": [[-1, 0, 0, 0], [0, 0, -2, 0]]}
 
 
+def _snake_with(k, edge):
+    """The shipped snake with edge *k* replaced."""
+    data = json.loads((DATA / "snake.json").read_text())
+    data["edges"][k] = edge
+    return data
+
+
 @pytest.mark.parametrize("argv, data, named", [
     # structural entries whose type does not fit their wiring
     (["meaning", "Alice does"], _lexicon_with(
@@ -264,6 +271,9 @@ def _one_box(fields):
         {"word": "Alice", "type": "n", "data": [1.0, 0.0]}]}, "'q'"),
     (["rate", "A", "B", "--max-steps", "-1"], {"atoms": ["A", "B"],
      "rules": [{"from": ["A"], "to": ["B", "B"]}]}, "max_steps"),
+    # an edge from a node that does not exist, and one to a negative port
+    (["normalize"], _snake_with(1, [7, 0, 1, 1]), "BadEndpoint"),
+    (["normalize"], _snake_with(2, [0, 1, -2, -2]), "BadEndpoint"),
 ], ids=["copula-type", "negation-type", "relpron-no-repeat", "relpron-one-leg",
         "lexicon-no-bases", "presentation-no-rules", "node-no-kind",
         "dimension-not-int", "rule-from-not-list", "undeclared-base",
@@ -275,7 +285,8 @@ def _one_box(fields):
         "rule-side-not-strings", "node-name-not-string",
         "node-payload-not-string", "types-not-object",
         "parse-undeclared-target", "meaning-undeclared-target",
-        "rate-negative-max-steps"])
+        "rate-negative-max-steps", "edge-node-out-of-range",
+        "edge-negative-port"])
 def test_malformed_input_exit_2_with_one_error_line(capsys, tmp_path, argv,
                                                     data, named):
     path = tmp_path / "input.json"
@@ -355,8 +366,7 @@ def test_normalize_invalid_diagram_exit_2(capsys, tmp_path):
 
 
 def test_teleport_tsv(capsys):
-    code, out, _ = run(capsys, "--format", "tsv", "teleport",
-                       "--dim", "2", "--trials", "5")
+    code, out, _ = run(capsys, "teleport", "--dim", "2", "--trials", "5")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "branch\tfidelity\tprobability"

@@ -7,6 +7,7 @@ import pytest
 from conftest import random_diagram, random_morphism, random_types
 
 from stringcalc import diagram as dg
+from stringcalc.cli import main
 from stringcalc.diagram import (IN, OUT, Diagram, Generator, diagram_from_json,
                                 diagram_to_json, identity, validate)
 from stringcalc.errors import InvalidDiagram, TypeMismatch, UnknownBase, ZeroArity
@@ -151,6 +152,49 @@ def test_validate_detects_type_mismatch_and_cycle():
 def test_validate_detects_bad_endpoints():
     d = Diagram((A,), (A,), (), ((IN, 0, OUT, 5),))
     assert any(v.kind == "BadEndpoint" for v in validate(d))
+
+
+def test_validate_reports_every_missing_endpoint_without_raising():
+    """One wire field of a well-formed diagram set to a value in -3..8:
+    validate reports BadEndpoint exactly when the wire names a node or a
+    port that does not exist."""
+    rng = np.random.default_rng(23)
+    bad = 0
+    for _ in range(400):
+        d = random_diagram(rng)
+        if not d.wires:
+            continue
+        sources = {(IN, k) for k in range(len(d.dom))} | {
+            (i, p) for i, g in enumerate(d.nodes) for p in range(len(g.cod))}
+        targets = {(OUT, k) for k in range(len(d.cod))} | {
+            (i, p) for i, g in enumerate(d.nodes) for p in range(len(g.dom))}
+        wires = list(d.wires)
+        k = int(rng.integers(len(wires)))
+        w = list(wires[k])
+        w[int(rng.integers(4))] = int(rng.integers(-3, 9))
+        wires[k] = tuple(w)
+        missing = (w[0], w[1]) not in sources or (w[2], w[3]) not in targets
+        found = validate(dataclasses.replace(d, wires=tuple(wires)))
+        assert any(v.kind == "BadEndpoint" for v in found) == missing
+        bad += missing
+    assert bad > 100
+
+
+def test_boxes_that_differ_only_by_a_missing_payload_canonicalize(
+        capsys, tmp_path):
+    f = dg.make_generator("f", (), ())
+    g = dg.make_generator("f", (), (), payload="p")
+    assert (f @ g).canonical_key == (g @ f).canonical_key
+    assert hash(f @ g) == hash(g @ f)
+    assert normalize(f @ g).diagram == normalize(g @ f).diagram == f @ g
+    # two such boxes as the effects of one state
+    joined = dg.make_generator("h", (), (A, A)) >> (
+        dg.make_generator("e", (A,), ()) @ dg.make_generator("e", (A,), (), "p"))
+    assert normalize(joined).diagram == joined
+    path = tmp_path / "closed.json"
+    path.write_text(json.dumps(diagram_to_json(f @ g)))
+    assert main(["normalize", str(path)]) == 0
+    assert diagram_from_json(json.loads(capsys.readouterr().out)) == f @ g
 
 
 def test_json_round_trip_preserves_equality():

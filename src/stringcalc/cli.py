@@ -17,10 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .errors import (AmbiguousParse, InvalidDiagram, NoParse, StateExplosion,
-                     StringCalcError, UnknownBase, UnknownWord)
+                     StringCalcError, UnknownBase, UnknownWord, read_json)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -215,7 +214,7 @@ def cmd_normalize(args) -> int:
     from . import diagram as dg
     from . import rewrite
 
-    d = dg.diagram_from_json(json.loads(Path(args.diagram).read_text()))
+    d = dg.diagram_from_json(read_json(args.diagram))
     nf = rewrite.normalize(d)
     print(json.dumps(dg.diagram_to_json(nf.diagram), indent=2, sort_keys=True))
     return EXIT_OK

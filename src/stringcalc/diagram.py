@@ -126,8 +126,14 @@ class Diagram:
         return hash(self.canonical_key)
 
     def canonical(self) -> "Diagram":
-        """The same diagram with nodes renumbered in canonical order."""
-        nodes, wires = _renumber(self, canonical_order(self), self.wires)
+        """The same diagram with nodes renumbered in canonical order;
+        ``InvalidDiagram`` if a port has no wire or a wire no node."""
+        try:
+            order = canonical_order(self)
+        except (KeyError, IndexError):
+            check_valid(self)  # raises: every port of a valid one is wired
+            raise
+        nodes, wires = _renumber(self, order, self.wires)
         return Diagram(self.dom, self.cod, nodes, wires, self.doubled)
 
     def __repr__(self) -> str:

@@ -1,4 +1,17 @@
-"""Exception hierarchy shared by all modules, and the JSON field check."""
+"""Exception hierarchy shared by all modules, the JSON file reader and
+the JSON field check."""
+
+import json
+from pathlib import Path
+
+
+def read_json(path):
+    """The JSON value in the file at *path*.  A file nested too deeply for
+    :mod:`json` is a ``ValueError``, like any other malformed file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def require(obj, key: str, kind: type, where: str, default=None):

@@ -22,16 +22,15 @@ Sadrzadeh, Clark and Coecke: cups and spiders, plus negation's box.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import islice, product
-from pathlib import Path
 
 import numpy as np
 
 from . import diagram as dg
 from .diagram import BOX, CAP, CUP, OUT, SPIDER, Diagram, Generator
-from .errors import MissingPayload, TypeMismatch, UnknownWord, require
+from .errors import (MissingPayload, TypeMismatch, UnknownWord, read_json,
+                     require)
 from .tensors import Model, Payload, Tensor
 from .types import (TypeList, WireType, check_declared, parse_typelist,
                     typelist_str)
@@ -81,7 +80,6 @@ class ParseWitness:
     words: tuple[str, ...]
     entry_indices: tuple[int, ...]
     flat: TypeList                       # concatenated word types
-    word_of_index: tuple[int, ...]       # flat index -> word position
     links: frozenset[tuple[int, int]]    # (i, j) cancels (b^z, b^(z+1))
     residual: tuple[int, ...]            # uncancelled indices, left to right
 
@@ -126,11 +124,8 @@ def parse(lexicon: PregroupLexicon, words: list[str],
                                     for pos, k in enumerate(combo))))):
             continue  # its charge differs from the target's in some base
         flat: list[WireType] = []
-        word_of_index: list[int] = []
         for pos, k in enumerate(combo):
-            types = entries[pos][k].type
-            flat.extend(types)
-            word_of_index.extend([pos] * len(types))
+            flat.extend(entries[pos][k].type)
         for links in _reductions(tuple(flat), target):
             linked = {i for link in links for i in link}
             residual = tuple(i for i in range(len(flat)) if i not in linked)
@@ -138,7 +133,6 @@ def parse(lexicon: PregroupLexicon, words: list[str],
                 words=tuple(words),
                 entry_indices=tuple(combo),
                 flat=tuple(flat),
-                word_of_index=tuple(word_of_index),
                 links=frozenset(links),
                 residual=residual,
             ))
@@ -442,7 +436,7 @@ def _check_structural_type(word: str, kind: str, t: TypeList) -> None:
 
 
 def load_lexicon(path) -> PregroupLexicon:
-    return lexicon_from_json(json.loads(Path(path).read_text()))
+    return lexicon_from_json(read_json(path))
 
 
 def _tensor_from_data(raw: dict, where: str, shape: tuple[int, ...]) -> Tensor:

@@ -120,6 +120,9 @@ def verify_teleportation(dim: int, trials: int, tolerance: float = 1e-9,
     """
     if dim < 2 or trials < 1:
         raise ValueError("need dim >= 2 and trials >= 1")
+    if not 0 <= tolerance < float("inf"):  # NaN fails every comparison
+        raise ValueError(f"tolerance must be finite and at least 0, "
+                         f"got {tolerance}")
     check_budget(trials * dim, "the trial-state array")
     check_budget(2 * dim ** 4, "the teleportation model")
     model = teleportation_model(dim)

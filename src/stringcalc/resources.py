@@ -17,14 +17,12 @@ of a witness.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from pathlib import Path
 
-from .errors import StateExplosion, require, require_strings
+from .errors import StateExplosion, read_json, require, require_strings
 
 __all__ = [
     "ResourcePresentation", "ConversionWitness", "RateResult",
@@ -209,4 +207,4 @@ def presentation_from_json(data: dict) -> ResourcePresentation:
 
 
 def load_presentation(path) -> ResourcePresentation:
-    return presentation_from_json(json.loads(Path(path).read_text()))
+    return presentation_from_json(read_json(path))

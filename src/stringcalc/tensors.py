@@ -49,7 +49,7 @@ from .errors import (DimensionMismatch, MissingPayload, NotHermitian,
 __all__ = [
     "Tensor", "Payload", "Model",
     "evaluate", "double", "entropy", "similarity",
-    "tensor_to_json", "tensor_from_json", "random_payloads", "check_budget",
+    "tensor_to_json", "random_payloads", "check_budget",
 ]
 
 #: The most complex elements (1 GiB of complex128) that one array built
@@ -258,8 +258,13 @@ def evaluate(d: Diagram, model: Model) -> Tensor:
     return Tensor(result.shape, result, scalar, thick)
 
 
+def _payload_ref(gen) -> str:
+    """The key of *gen*'s payload: its own reference, or its signature."""
+    return gen.payload or "box:" + repr(gen.signature())
+
+
 def _payload(gen, model: Model) -> Payload:
-    ref = gen.payload or "box:" + repr(gen.signature())
+    ref = _payload_ref(gen)
     if ref not in model.payloads:
         raise MissingPayload(
             f"box {gen.name!r} has no payload ({gen.payload!r})")
@@ -447,13 +452,6 @@ def tensor_to_json(t: Tensor) -> dict:
     }
 
 
-def tensor_from_json(data: dict) -> Tensor:
-    shape = tuple(int(s) for s in data["shape"])
-    flat = np.array([complex(re, im) for re, im in data["data"]], dtype=complex)
-    sc = data.get("scalar", [1.0, 0.0])
-    return Tensor(shape, flat.reshape(shape), complex(sc[0], sc[1]))
-
-
 # -- payload helpers -------------------------------------------------------
 
 
@@ -470,7 +468,7 @@ def random_payloads(model: Model, diagrams, seed: int = 0) -> Model:
         for gen in d.nodes:
             if gen.kind != BOX:
                 continue
-            ref = gen.payload or "box:" + repr(gen.signature())
+            ref = _payload_ref(gen)
             if ref in payloads:
                 continue
             shape = tuple(model.dims[t.base] for t in gen.dom + gen.cod)

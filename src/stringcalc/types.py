@@ -21,6 +21,7 @@ WireType('n', 2)
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import UnknownBase
@@ -62,6 +63,8 @@ class WireType:
 #: An ordered list of wire types; the empty tuple is the monoidal unit.
 TypeList = tuple[WireType, ...]
 
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+
 
 def parse_wiretype(token: str) -> WireType:
     """Parse ``base(.L|.R)*`` into a :class:`WireType`."""
@@ -84,9 +87,36 @@ def parse_typelist(text: str) -> TypeList:
     """Parse a space-separated list of type tokens.
 
     Parenthesized groups distribute a trailing suffix over their members
-    with order reversal, e.g. ``(n.L s).R`` means ``s.R n``.
+    with order reversal, e.g. ``(n.L s).R`` means ``s.R n``.  Groups nest
+    to any depth: the open groups are kept on a stack.
     """
-    return tuple(_parse_group(_tokenize(text)))
+    tokens = _TOKEN.findall(text)
+    stack: list[list[WireType]] = [[]]  # one member list per open group
+    i = 0
+    while i < len(tokens):
+        tok = tokens[i]
+        i += 1
+        if tok == "(":
+            stack.append([])
+        elif tok == ")":
+            if len(stack) == 1:
+                raise ValueError(f"unexpected token {tok!r}")
+            inner = stack.pop()
+            # a suffix may be glued to the closing parenthesis: ").R.R"
+            if i < len(tokens) and tokens[i].startswith("."):
+                shift = parse_wiretype("x" + tokens[i]).z
+                i += 1
+                if shift:
+                    inner = [WireType(t.base, t.z + shift)
+                             for t in reversed(inner)]
+            stack[-1].extend(inner)
+        elif tok.startswith("."):
+            raise ValueError(f"dangling suffix {tok!r}")
+        else:
+            stack[-1].append(parse_wiretype(tok))
+    if len(stack) > 1:
+        raise ValueError("unbalanced parenthesis in type string")
+    return tuple(stack[0])
 
 
 def typelist_str(types: TypeList) -> str:
@@ -99,54 +129,3 @@ def check_declared(types: TypeList, table) -> None:
         if t.base not in table:
             raise UnknownBase(f"base {t.base!r} is not declared")
 
-
-def _tokenize(text: str) -> list[str]:
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            out.append(c)
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            out.append(text[i:j])
-            i = j
-    return out
-
-
-def _parse_group(tokens: list[str]) -> list[WireType]:
-    """Recursive-descent parse of a token list (consumes all tokens)."""
-    result, pos = _parse_seq(tokens, 0)
-    if pos != len(tokens):
-        raise ValueError(f"unexpected token {tokens[pos]!r}")
-    return result
-
-
-def _parse_seq(tokens: list[str], pos: int) -> tuple[list[WireType], int]:
-    items: list[WireType] = []
-    while pos < len(tokens) and tokens[pos] != ")":
-        if tokens[pos] == "(":
-            inner, pos = _parse_seq(tokens, pos + 1)
-            if pos >= len(tokens) or tokens[pos] != ")":
-                raise ValueError("unbalanced parenthesis in type string")
-            pos += 1
-            # a suffix may be glued to the closing parenthesis: ").R.R"
-            shift = 0
-            if pos < len(tokens) and tokens[pos].startswith("."):
-                shift = parse_wiretype("x" + tokens[pos]).z
-                pos += 1
-            if shift:
-                inner = [WireType(t.base, t.z + shift) for t in reversed(inner)]
-            items.extend(inner)
-        else:
-            tok = tokens[pos]
-            pos += 1
-            if tok.startswith("."):
-                raise ValueError(f"dangling suffix {tok!r}")
-            items.append(parse_wiretype(tok))
-    return items, pos

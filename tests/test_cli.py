@@ -274,6 +274,9 @@ def _snake_with(k, edge):
     # an edge from a node that does not exist, and one to a negative port
     (["normalize"], _snake_with(1, [7, 0, 1, 1]), "BadEndpoint"),
     (["normalize"], _snake_with(2, [0, 1, -2, -2]), "BadEndpoint"),
+    # a tolerance that is NaN or negative (teleport reads no file)
+    (["--tol", "nan", "teleport", "--dim", "2"], None, "tolerance"),
+    (["--tol", "-1", "teleport", "--dim", "2"], None, "tolerance"),
 ], ids=["copula-type", "negation-type", "relpron-no-repeat", "relpron-one-leg",
         "lexicon-no-bases", "presentation-no-rules", "node-no-kind",
         "dimension-not-int", "rule-from-not-list", "undeclared-base",
@@ -286,15 +289,45 @@ def _snake_with(k, edge):
         "node-payload-not-string", "types-not-object",
         "parse-undeclared-target", "meaning-undeclared-target",
         "rate-negative-max-steps", "edge-node-out-of-range",
-        "edge-negative-port"])
+        "edge-negative-port", "tol-nan", "tol-negative"])
 def test_malformed_input_exit_2_with_one_error_line(capsys, tmp_path, argv,
                                                     data, named):
-    path = tmp_path / "input.json"
-    path.write_text(json.dumps(data))
-    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    if data is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        argv = [argv[0], str(path), *argv[1:]]
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+
+
+@pytest.mark.parametrize("argv", [["parse", "Alice"], ["normalize"],
+                                  ["rate", "A", "B"]],
+                         ids=["parse", "normalize", "rate"])
+def test_json_nested_too_deeply_exit_2(capsys, tmp_path, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nested too deeply" in err
+
+
+def test_deeply_nested_types_parse_like_flat_ones(capsys, tmp_path):
+    lexicon = str(DATA / "language.json")
+    flat = run(capsys, "parse", lexicon, "Alice hates Bob", "--target", "s")
+    deep = "(" * 2000 + "s" + ")" * 2000
+    assert run(capsys, "parse", lexicon, "Alice hates Bob",
+               "--target", deep) == flat
+    # a lexicon entry whose type is nested as deeply
+    data = json.loads((DATA / "language.json").read_text())
+    for entry in data["words"]:
+        if entry["word"] == "Alice":
+            entry["type"] = "(" * 3000 + "n" + ")" * 3000
+    path = tmp_path / "deep-type.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, "parse", str(path), "Alice hates Bob") == flat
 
 
 def test_allocation_over_budget_exit_4(capsys, monkeypatch):

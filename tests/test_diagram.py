@@ -180,6 +180,16 @@ def test_validate_reports_every_missing_endpoint_without_raising():
     assert bad > 100
 
 
+@pytest.mark.parametrize("d", [
+    Diagram((A,), (), (), ()),
+    Diagram((), (), (Generator("box", (), (A,), name="f"),), ()),
+], ids=["boundary-port-unused", "node-port-unused"])
+def test_invalid_diagram_does_not_canonicalize(d):
+    for use in (Diagram.canonical, hash, lambda d: d == d):
+        with pytest.raises(InvalidDiagram, match="Unused"):
+            use(d)
+
+
 def test_boxes_that_differ_only_by_a_missing_payload_canonicalize(
         capsys, tmp_path):
     f = dg.make_generator("f", (), ())

@@ -256,7 +256,7 @@ def _witness(words, flat, links):
     linked = {i for link in links for i in link}
     return pregroup.ParseWitness(
         words=tuple(words), entry_indices=(0,) * len(words), flat=flat,
-        word_of_index=(), links=frozenset(links),
+        links=frozenset(links),
         residual=tuple(i for i in range(len(flat)) if i not in linked))
 
 

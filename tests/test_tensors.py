@@ -18,8 +18,7 @@ from stringcalc.errors import (DimensionMismatch, MissingPayload, NotHermitian,
 from stringcalc.pregroup import grammar_diagram, lexicon_from_json, parse
 from stringcalc.tensors import (Model, Payload, Tensor, as_density_matrix,
                                 double, double_array, entropy, evaluate,
-                                random_payloads, similarity, tensor_from_json,
-                                tensor_to_json)
+                                random_payloads, similarity, tensor_to_json)
 from stringcalc.types import WireType
 
 A = WireType("a")
@@ -432,12 +431,13 @@ def test_similarity_normalized_overlap():
 # -- serialization and misc ---------------------------------------------------
 
 
-def test_tensor_json_round_trip():
+def test_tensor_to_json_lists_shape_pairs_and_scalar():
     t = Tensor.from_array(np.array([[1.0 + 2.0j, 0.0], [3.0, -1.0j]]),
                           scalar=0.5 - 0.25j)
-    back = tensor_from_json(tensor_to_json(t))
-    assert back.shape == t.shape
-    assert np.allclose(back.to_array(), t.to_array())
+    assert tensor_to_json(t) == {
+        "shape": [2, 2],
+        "data": [[1.0, 2.0], [0.0, 0.0], [3.0, 0.0], [0.0, -1.0]],
+        "scalar": [0.5, -0.25]}
 
 
 def test_random_payloads_are_deterministic_and_shared():

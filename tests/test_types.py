@@ -43,12 +43,21 @@ def test_parse_typelist_nested_groups():
 
 
 def test_parse_typelist_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unbalanced parenthesis"):
         parse_typelist("(n s")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unexpected token"):
         parse_typelist("n ) s")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dangling suffix"):
         parse_typelist(".L n")
+
+
+def test_parse_typelist_nests_past_the_recursion_limit():
+    deep = "(" * 5000 + "n" + ")" * 5000
+    assert parse_typelist(deep + ".L") == (WireType("n", 1),)
+    assert parse_typelist(f"s {deep} ({deep} s).R") == parse_typelist(
+        "s n s.R n.R")
+    with pytest.raises(ValueError, match="unbalanced parenthesis"):
+        parse_typelist("(" + deep)
 
 
 def test_typelist_str_round_trip():

@@ -49,8 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="stringcalc",
         description="string diagrams, pregroup parsing, tensor meanings")
-    top.add_argument("--seed", type=int, default=0)
-    top.add_argument("--tol", type=float, default=1e-9)
     top.add_argument("--format", choices=("text", "json"), default="text")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -95,6 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("teleport", help="verify teleportation branches")
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--trials", type=int, default=25)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_teleport)
 
     p = sub.add_parser("rate", help="conversion rate between two atoms")

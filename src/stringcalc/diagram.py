@@ -14,6 +14,22 @@ input ``sp``.  ``dn >= 0`` means input port ``dp`` of node ``dn``;
 ``dn == -2`` means boundary output ``dp``.  The wires of a diagram are a
 set: their order means nothing, and only the canonical form and the JSON
 writer sort them.
+
+Layout: every constructor here (``identity``, the one-node diagrams,
+``permutation``, ``>>`` and ``@``) lists the wires into the boundary
+outputs last, in port order.  Composition reads the glued ports off that
+tail, so ``f >> g`` costs Python work in ``g`` only, and ``f @ g`` in
+``g`` and ``f``'s outputs; only the tuple copies of ``f``'s nodes and
+wires grow with ``f``.  A diagram in any other wire order (built by
+hand, loaded, or canonical) composes the same, after one pass that puts
+its wires in this order, made once per diagram.  The stored order is
+never changed, and no result depends on it.
+
+Each diagram is validated at most once: :func:`check_valid` keeps the
+violations it finds on the diagram.  The constructors here mark what they
+build as valid, so only a diagram built by hand or loaded is ever
+checked; ``>>`` and ``@`` check such an operand before gluing it and
+raise ``InvalidDiagram`` if it is malformed.
 """
 
 from __future__ import annotations
@@ -104,6 +120,21 @@ class Diagram:
     def src_type(self, sn: int, sp: int) -> WireType:
         return self.dom[sp] if sn == IN else self.nodes[sn].cod[sp]
 
+    @cached_property
+    def _violations(self) -> tuple["Violation", ...]:
+        # preset to () by the constructors that know the diagram is valid
+        return tuple(validate(self))
+
+    @cached_property
+    def _outputs_last(self) -> tuple[Wire, ...]:
+        """The wires, those into the boundary outputs last and in port
+        order; ``InvalidDiagram`` if the diagram is not valid.  Preset to
+        the wires themselves by the constructors, which keep this order."""
+        check_valid(self)
+        out = {w[3]: w for w in self.wires if w[2] == OUT}  # one per output
+        return (tuple(w for w in self.wires if w[2] != OUT)
+                + tuple(out[p] for p in range(len(self.cod))))
+
     # -- structural equality -------------------------------------------
 
     @cached_property
@@ -144,18 +175,25 @@ class Diagram:
 # -- constructors -------------------------------------------------------
 
 
+def _valid(d: Diagram) -> Diagram:
+    """*d*, marked valid and in layout: its constructor ensures both."""
+    d.__dict__["_violations"], d.__dict__["_outputs_last"] = (), d.wires
+    return d
+
+
 def identity(types: TypeList) -> Diagram:
     """Node-less identity: each wire runs straight through."""
     types = tuple(types)
-    return Diagram(types, types, (),
-                   tuple((IN, k, OUT, k) for k in range(len(types))))
+    return _valid(Diagram(types, types, (), tuple(
+        (IN, k, OUT, k) for k in range(len(types)))))
 
 
 def _one_node(gen: Generator) -> Diagram:
     """The diagram of a single node, its ports wired to the boundary in order."""
-    return Diagram(gen.dom, gen.cod, (gen,),
-                   tuple((IN, k, 0, k) for k in range(len(gen.dom)))
-                   + tuple((0, k, OUT, k) for k in range(len(gen.cod))))
+    return _valid(Diagram(gen.dom, gen.cod, (gen,),
+                          tuple((IN, k, 0, k) for k in range(len(gen.dom)))
+                          + tuple((0, k, OUT, k)
+                                  for k in range(len(gen.cod)))))
 
 
 def identity_node(t: WireType) -> Diagram:
@@ -233,8 +271,8 @@ def permutation(types: TypeList, perm: list[int]) -> Diagram:
                 current[j], current[j + 1] = b, a
                 changed = True
     wires += [feed[j] + (OUT, j) for j in range(len(types))]
-    return Diagram(types, tuple(types[i] for i in current), tuple(nodes),
-                   tuple(wires))
+    return _valid(Diagram(types, tuple(types[i] for i in current),
+                          tuple(nodes), tuple(wires)))
 
 
 # -- composition ---------------------------------------------------------
@@ -252,26 +290,16 @@ def compose_seq(f: Diagram, g: Diagram) -> Diagram:
         raise TypeMismatch(
             f"arity mismatch: {len(f.cod)} outputs vs {len(g.dom)} inputs")
     shift = len(f.nodes)
-
-    def shift_g(n: int) -> int:
-        return n if n < 0 else n + shift
-
-    wires: list[Wire] = []
-    # f wires not ending on the boundary output survive unchanged
-    glue_src: dict[int, tuple[int, int]] = {}
-    for sn, sp, dn, dp in f.wires:
-        if dn == OUT:
-            glue_src[dp] = (sn, sp)
-        else:
-            wires.append((sn, sp, dn, dp))
-    for sn, sp, dn, dp in g.wires:
-        if sn == IN:
-            xsn, xsp = glue_src[sp]
-            wires.append((xsn, xsp, shift_g(dn), dp))
-        else:
-            wires.append((sn + shift, sp, shift_g(dn), dp))
-    return Diagram(f.dom, g.cod, f.nodes + g.nodes, tuple(wires),
-                   doubled=f.doubled)
+    f_wires, g_wires = f._outputs_last, g._outputs_last
+    n = len(f_wires) - len(f.cod)
+    # f's wires up to its outputs survive unchanged; the ports feeding
+    # those outputs feed g's inputs
+    wires = f_wires[:n] + tuple(
+        (f_wires[n + sp][:2] if sn == IN else (sn + shift, sp))
+        + (dn if dn < 0 else dn + shift, dp)
+        for sn, sp, dn, dp in g_wires)
+    return _valid(Diagram(f.dom, g.cod, f.nodes + g.nodes, wires,
+                          doubled=f.doubled))
 
 
 def compose_par(f: Diagram, g: Diagram) -> Diagram:
@@ -280,18 +308,16 @@ def compose_par(f: Diagram, g: Diagram) -> Diagram:
         raise TypeMismatch("cannot juxtapose a doubled with a plain diagram")
     shift = len(f.nodes)
     din, dout = len(f.dom), len(f.cod)
-
-    def remap(n: int, p: int) -> tuple[int, int]:
-        if n == IN:
-            return n, p + din
-        if n == OUT:
-            return n, p + dout
-        return n + shift, p
-
-    wires = f.wires + tuple(remap(sn, sp) + remap(dn, dp)
-                            for sn, sp, dn, dp in g.wires)
-    return Diagram(f.dom + g.dom, f.cod + g.cod, f.nodes + g.nodes, wires,
-                   doubled=f.doubled)
+    f_wires = f._outputs_last
+    # g's nodes are numbered after f's, and its open ports after f's
+    g_wires = tuple(
+        (sn if sn < 0 else sn + shift, sp + din if sn == IN else sp,
+         dn if dn < 0 else dn + shift, dp + dout if dn == OUT else dp)
+        for sn, sp, dn, dp in g._outputs_last)
+    n, m = len(f_wires) - dout, len(g_wires) - len(g.cod)
+    wires = f_wires[:n] + g_wires[:m] + f_wires[n:] + g_wires[m:]
+    return _valid(Diagram(f.dom + g.dom, f.cod + g.cod, f.nodes + g.nodes,
+                          wires, doubled=f.doubled))
 
 
 # -- validation ----------------------------------------------------------
@@ -375,10 +401,12 @@ def validate(d: Diagram) -> list[Violation]:
 
 
 def check_valid(d: Diagram) -> None:
-    """Raise ``InvalidDiagram`` naming every violation if *d* has any."""
-    problems = validate(d)
-    if problems:
-        raise InvalidDiagram("; ".join(str(v) for v in problems))
+    """Raise ``InvalidDiagram`` naming every violation if *d* has any.
+
+    The violations are kept on *d*, so it is validated at most once.
+    """
+    if d._violations:
+        raise InvalidDiagram("; ".join(str(v) for v in d._violations))
 
 
 # -- canonical ordering --------------------------------------------------

@@ -68,19 +68,23 @@ _TOKEN = re.compile(r"[()]|[^\s()]+")
 
 def parse_wiretype(token: str) -> WireType:
     """Parse ``base(.L|.R)*`` into a :class:`WireType`."""
-    parts = token.split(".")
-    base, suffix = parts[0], parts[1:]
+    base = token.split(".")[0]
     if not base:
         raise ValueError(f"empty base in type token {token!r}")
+    return WireType(base, _adjoint_order(token))
+
+
+def _adjoint_order(token: str) -> int:
+    """The adjoint order that the ``.L``/``.R`` markers of *token* add."""
     z = 0
-    for s in suffix:
+    for s in token.split(".")[1:]:
         if s == "L":
             z += 1
         elif s == "R":
             z -= 1
         else:
             raise ValueError(f"bad adjoint marker {s!r} in {token!r}")
-    return WireType(base, z)
+    return z
 
 
 def parse_typelist(text: str) -> TypeList:
@@ -104,7 +108,7 @@ def parse_typelist(text: str) -> TypeList:
             inner = stack.pop()
             # a suffix may be glued to the closing parenthesis: ").R.R"
             if i < len(tokens) and tokens[i].startswith("."):
-                shift = parse_wiretype("x" + tokens[i]).z
+                shift = _adjoint_order(tokens[i])
                 i += 1
                 if shift:
                     inner = [WireType(t.base, t.z + shift)

@@ -275,8 +275,8 @@ def _snake_with(k, edge):
     (["normalize"], _snake_with(1, [7, 0, 1, 1]), "BadEndpoint"),
     (["normalize"], _snake_with(2, [0, 1, -2, -2]), "BadEndpoint"),
     # a tolerance that is NaN or negative (teleport reads no file)
-    (["--tol", "nan", "teleport", "--dim", "2"], None, "tolerance"),
-    (["--tol", "-1", "teleport", "--dim", "2"], None, "tolerance"),
+    (["teleport", "--tol", "nan", "--dim", "2"], None, "tolerance"),
+    (["teleport", "--tol", "-1", "--dim", "2"], None, "tolerance"),
 ], ids=["copula-type", "negation-type", "relpron-no-repeat", "relpron-one-leg",
         "lexicon-no-bases", "presentation-no-rules", "node-no-kind",
         "dimension-not-int", "rule-from-not-list", "undeclared-base",
@@ -408,6 +408,17 @@ def test_teleport_tsv(capsys):
         _, fid, prob = line.split("\t")
         assert abs(float(fid) - 1.0) < 1e-9
         assert abs(float(prob) - 0.25) < 1e-9
+
+
+@pytest.mark.parametrize("flag", ["--seed=7", "--tol=0.5"])
+def test_teleport_flags_belong_to_teleport(capsys, flag):
+    """Only teleport reads --seed and --tol: elsewhere they are an error."""
+    argv = ["parse", str(DATA / "language.json"), "Alice hates Bob"]
+    with pytest.raises(SystemExit) as exit_:
+        main([flag, *argv])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert run(capsys, "teleport", flag, "--dim", "2", "--trials", "2")[0] == 0
 
 
 def test_rate_text_output(capsys):

@@ -280,3 +280,173 @@ def test_from_json_names_the_malformed_field(change, field):
 def test_parse_typelist_feeds_generators():
     d = dg.box("not", (), parse_typelist("n.L s s.R n"))
     assert [str(t) for t in d.cod] == ["n.L", "s", "s.R", "n"]
+
+
+# -- composition against the previous implementation -------------------------
+
+
+def _reference_compose_seq(f, g):
+    """``>>`` as it was before outputs were kept last: one dict of glue
+    sources built from every wire of ``f``."""
+    shift = len(f.nodes)
+    wires = []
+    glue_src = {}
+    for sn, sp, dn, dp in f.wires:
+        if dn == OUT:
+            glue_src[dp] = (sn, sp)
+        else:
+            wires.append((sn, sp, dn, dp))
+    for sn, sp, dn, dp in g.wires:
+        dn = dn if dn < 0 else dn + shift
+        if sn == IN:
+            wires.append((*glue_src[sp], dn, dp))
+        else:
+            wires.append((sn + shift, sp, dn, dp))
+    return Diagram(f.dom, g.cod, f.nodes + g.nodes, tuple(wires), f.doubled)
+
+
+def _reference_compose_par(f, g):
+    """``@`` as it was before outputs were kept last."""
+    shift, din, dout = len(f.nodes), len(f.dom), len(f.cod)
+
+    def remap(n, p):
+        if n == IN:
+            return n, p + din
+        if n == OUT:
+            return n, p + dout
+        return n + shift, p
+
+    wires = f.wires + tuple(remap(sn, sp) + remap(dn, dp)
+                            for sn, sp, dn, dp in g.wires)
+    return Diagram(f.dom + g.dom, f.cod + g.cod, f.nodes + g.nodes, wires,
+                   f.doubled)
+
+
+def _reordered(rng, d):
+    """*d* as built, with its wires shuffled, or in canonical order."""
+    how = rng.integers(3)
+    if how == 1:
+        return dataclasses.replace(d, wires=tuple(
+            d.wires[i] for i in rng.permutation(len(d.wires))))
+    return d.canonical() if how == 2 else d
+
+
+def _into(rng, types, tag):
+    """A diagram whose domain is *types*, from one of the constructors."""
+    how = rng.integers(3)
+    if how == 0:
+        perm = [int(i) for i in rng.permutation(len(types))]
+        return dg.permutation(types, perm)
+    if how == 1:
+        return identity(types)
+    cod = random_types(rng, int(rng.integers(0, 3)))
+    return random_morphism(rng, types, cod, tag)
+
+
+def _marked_valid(d):
+    return d.__dict__.get("_violations") == ()
+
+
+def test_composition_matches_the_reference():
+    """Seeded pairs of random and constructed diagrams, as built,
+    shuffled or canonical, compose to what the previous composition
+    gave, with the outputs' wires last, and the result's validity mark
+    agrees with a fresh check."""
+    rng = np.random.default_rng(2024)
+    reordered = 0
+    for k in range(400):
+        if k % 3:
+            f = random_diagram(rng, max_width=4)
+        else:
+            f = _into(rng, random_types(rng, int(rng.integers(0, 3))), f"f{k}")
+        if k % 2:
+            g = _into(rng, f.cod, f"g{k}")
+            compose, reference = dg.compose_seq, _reference_compose_seq
+        else:
+            g = random_diagram(rng, max_width=4)
+            compose, reference = dg.compose_par, _reference_compose_par
+        if rng.random() < 0.2:
+            f = dataclasses.replace(f, doubled=True)
+            g = dataclasses.replace(g, doubled=True)
+        f, g = _reordered(rng, f), _reordered(rng, g)
+        reordered += not (_marked_valid(f) and _marked_valid(g))
+        got, want = compose(f, g), reference(f, g)
+        assert (got.dom, got.cod, got.doubled, got.nodes) == \
+            (want.dom, want.cod, want.doubled, want.nodes)
+        assert sorted(got.wires) == sorted(want.wires)
+        tail = got.wires[len(got.wires) - len(got.cod):]
+        assert [w[2:] for w in tail] == [(OUT, p) for p in range(len(got.cod))]
+        assert _marked_valid(got) == (validate(got) == [])
+        assert validate(got) == []
+    assert reordered > 150
+
+
+def _missing_output():
+    """a -> a a with output 1 unwired."""
+    return Diagram((A,), (A, A), (), ((IN, 0, OUT, 0),))
+
+
+def _duplicated_output():
+    """a -> a with output 0 fed twice, by the input and by a state."""
+    state = Generator("box", (), (A,), name="s")
+    return Diagram((A,), (A,), (state,), ((IN, 0, OUT, 0), (0, 0, OUT, 0)))
+
+
+@pytest.mark.parametrize("make", [_missing_output, _duplicated_output],
+                         ids=["missing-output", "duplicated-output"])
+def test_composing_a_malformed_operand_raises(make):
+    bad = make()
+    for compose in (
+            lambda: bad >> identity(bad.cod),
+            lambda: identity(bad.dom) >> bad,
+            lambda: bad @ identity((B,)),
+            lambda: identity((B,)) @ bad):
+        with pytest.raises(InvalidDiagram, match="OpenPortUnused|PortReuse"):
+            compose()
+    assert not _marked_valid(bad) and validate(bad) != []
+
+
+def test_an_invalid_operand_is_never_marked_valid():
+    """A random diagram with one wire dropped composes on neither side."""
+    rng = np.random.default_rng(7)
+    tried = 0
+    for _ in range(200):
+        d = random_diagram(rng, max_width=4)
+        if not d.wires:
+            continue
+        drop = int(rng.integers(len(d.wires)))
+        bad = dataclasses.replace(d, wires=d.wires[:drop] + d.wires[drop + 1:])
+        for compose in (lambda: bad >> identity(bad.cod),
+                        lambda: identity(bad.dom) >> bad,
+                        lambda: bad @ d, lambda: d @ bad):
+            with pytest.raises(InvalidDiagram):
+                compose()
+        assert not _marked_valid(bad)
+        tried += 1
+    assert tried > 150
+
+
+def test_a_diagram_is_validated_once(monkeypatch):
+    calls = []
+    real = dg.validate
+
+    def counting(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(dg, "validate", counting)
+    snake = (identity((A,)) @ dg.cup("a")) >> (dg.cap("a") @ identity((A,)))
+    loaded = diagram_from_json(diagram_to_json(snake >> snake))
+    normalize(loaded)
+    normalize(loaded)
+    model = random_payloads(Model(dims={"a": 2}), (loaded,), seed=0)
+    evaluate(loaded, model)
+    evaluate(loaded, dataclasses.replace(model, doubling="thick"))
+    assert calls == [loaded]  # the constructed parts were never checked
+    assert normalize(snake >> loaded).diagram == identity((A,))
+    assert calls == [loaded]
+    # a hand-built diagram is checked on first use, and only then
+    hand = Diagram((A,), (A,), (), ((IN, 0, OUT, 0),))
+    evaluate(hand, model)
+    hand >> hand
+    assert calls == [loaded, hand]

@@ -138,23 +138,22 @@ def _flag(rng, *names):
 def _arguments(rng: random.Random) -> list[str]:
     """One command line with mutated sentences, targets or numbers."""
     lexicon = str(DATA / "language.json")
-    seed = _flag(rng, "--seed") if rng.random() < 0.3 else []
     command = rng.randrange(6)
     if command == 0:
-        return [*seed, "parse", lexicon, _sentence(rng),
-                f"--target={_target(rng)}"]
+        return ["parse", lexicon, _sentence(rng), f"--target={_target(rng)}"]
     if command == 1:
-        return [*seed, "meaning", lexicon, _sentence(rng),
+        return ["meaning", lexicon, _sentence(rng),
                 f"--target={_target(rng)}", *_flag(rng, "--parse-index"),
                 *(["--thick"] if rng.random() < 0.5 else [])]
     if command == 2:
-        return [*seed, "similarity", lexicon, _sentence(rng), _sentence(rng),
+        return ["similarity", lexicon, _sentence(rng), _sentence(rng),
                 f"--target={_target(rng)}"]
     if command == 3:
-        return [*seed, "disambiguate", lexicon, rng.choice(WORDS),
+        return ["disambiguate", lexicon, rng.choice(WORDS),
                 _sentence(rng), f"--target={_target(rng)}"]
     if command == 4:
-        return [*seed, *_flag(rng, "--tol"), "teleport",
+        seed = _flag(rng, "--seed") if rng.random() < 0.3 else []
+        return ["teleport", *seed, *_flag(rng, "--tol"),
                 *_flag(rng, "--dim", "--trials")]
     return ["rate", str(DATA / rng.choice(["doubler.json", "catalyst.json"])),
             rng.choice(["A", "B", "C", "Z", ""]), rng.choice(["A", "B", "Z"]),

@@ -51,6 +51,16 @@ def test_parse_typelist_errors():
         parse_typelist(".L n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(n).X", "bad adjoint marker 'X' in '.X'"),
+    ("(n)..L", "bad adjoint marker '' in '..L'"),
+], ids=["unknown-marker", "empty-marker"])
+def test_bad_group_suffix_quotes_what_was_written(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_typelist(text)
+    assert str(err.value) == message
+
+
 def test_parse_typelist_nests_past_the_recursion_limit():
     deep = "(" * 5000 + "n" + ")" * 5000
     assert parse_typelist(deep + ".L") == (WireType("n", 1),)

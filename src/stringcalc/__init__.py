@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys(
         ("Diagram", "Generator", "box", "cap", "cup", "identity",
-         "make_generator", "permutation", "spider", "swap", "validate",
+         "make_generator", "permutation", "spider", "swap",
          "compose_seq", "compose_par"), "diagram"),
     **dict.fromkeys(("NormalForm", "normalize", "equal"), "rewrite"),
     **dict.fromkeys(

@@ -18,8 +18,9 @@ import argparse
 import json
 import sys
 
-from .errors import (AmbiguousParse, InvalidDiagram, NoParse, StateExplosion,
-                     StringCalcError, UnknownBase, UnknownWord, read_json)
+from .errors import (AmbiguousParse, DimensionMismatch, InvalidDiagram,
+                     NoParse, StateExplosion, StringCalcError, UnknownBase,
+                     UnknownWord, read_json)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -31,7 +32,7 @@ EXIT_EXHAUSTED = 4
 # exception is a bug and keeps its traceback.
 EXIT_CODES = {ValueError: EXIT_INPUT, OSError: EXIT_INPUT,
               UnknownWord: EXIT_INPUT, UnknownBase: EXIT_INPUT,
-              InvalidDiagram: EXIT_INPUT,
+              InvalidDiagram: EXIT_INPUT, DimensionMismatch: EXIT_INPUT,
               AmbiguousParse: EXIT_AMBIGUOUS, StateExplosion: EXIT_EXHAUSTED,
               StringCalcError: EXIT_NEGATIVE}
 

@@ -25,11 +25,13 @@ hand, loaded, or canonical) composes the same, after one pass that puts
 its wires in this order, made once per diagram.  The stored order is
 never changed, and no result depends on it.
 
-Each diagram is validated at most once: :func:`check_valid` keeps the
-violations it finds on the diagram.  The constructors here mark what they
-build as valid, so only a diagram built by hand or loaded is ever
-checked; ``>>`` and ``@`` check such an operand before gluing it and
-raise ``InvalidDiagram`` if it is malformed.
+Every ``Diagram`` is valid: building one checks the port-graph
+invariants and raises ``InvalidDiagram`` naming every violation, so a
+diagram built by hand or loaded is checked once, when it is made, and no
+operation checks its input again.  A diagram that a rule which keeps
+validity builds from valid ones (``identity``, the one-node diagrams,
+``permutation``, ``>>``, ``@``, the canonical form, the normal form and
+the double) skips the check.
 """
 
 from __future__ import annotations
@@ -44,11 +46,11 @@ from .types import (TypeList, WireType, check_declared, parse_wiretype,
 
 __all__ = [
     "BOX", "CUP", "CAP", "SWAP", "SPIDER", "IDENTITY",
-    "Generator", "Diagram", "Violation",
+    "Generator", "Diagram",
     "identity", "identity_node", "make_generator", "box",
     "cup", "cap", "swap", "spider", "permutation",
     "compose_seq", "compose_par",
-    "validate", "diagram_to_json", "diagram_from_json",
+    "diagram_to_json", "diagram_from_json",
 ]
 
 BOX = "box"
@@ -97,6 +99,9 @@ class Diagram:
     wires: tuple[Wire, ...]
     doubled: bool = False
 
+    def __post_init__(self) -> None:
+        _check(self)
+
     # -- composition ---------------------------------------------------
 
     # the module functions are looked up at each call, so a wrapper
@@ -121,16 +126,10 @@ class Diagram:
         return self.dom[sp] if sn == IN else self.nodes[sn].cod[sp]
 
     @cached_property
-    def _violations(self) -> tuple["Violation", ...]:
-        # preset to () by the constructors that know the diagram is valid
-        return tuple(validate(self))
-
-    @cached_property
     def _outputs_last(self) -> tuple[Wire, ...]:
         """The wires, those into the boundary outputs last and in port
-        order; ``InvalidDiagram`` if the diagram is not valid.  Preset to
-        the wires themselves by the constructors, which keep this order."""
-        check_valid(self)
+        order.  Preset to the wires themselves by the constructors, which
+        keep this order."""
         out = {w[3]: w for w in self.wires if w[2] == OUT}  # one per output
         return (tuple(w for w in self.wires if w[2] != OUT)
                 + tuple(out[p] for p in range(len(self.cod))))
@@ -157,15 +156,9 @@ class Diagram:
         return hash(self.canonical_key)
 
     def canonical(self) -> "Diagram":
-        """The same diagram with nodes renumbered in canonical order;
-        ``InvalidDiagram`` if a port has no wire or a wire no node."""
-        try:
-            order = canonical_order(self)
-        except (KeyError, IndexError):
-            check_valid(self)  # raises: every port of a valid one is wired
-            raise
-        nodes, wires = _renumber(self, order, self.wires)
-        return Diagram(self.dom, self.cod, nodes, wires, self.doubled)
+        """The same diagram with nodes renumbered in canonical order."""
+        nodes, wires = _renumber(self, canonical_order(self), self.wires)
+        return _unchecked(self.dom, self.cod, nodes, wires, self.doubled)
 
     def __repr__(self) -> str:
         return (f"Diagram(dom={[str(t) for t in self.dom]}, "
@@ -175,25 +168,36 @@ class Diagram:
 # -- constructors -------------------------------------------------------
 
 
-def _valid(d: Diagram) -> Diagram:
-    """*d*, marked valid and in layout: its constructor ensures both."""
-    d.__dict__["_violations"], d.__dict__["_outputs_last"] = (), d.wires
+def _unchecked(dom: TypeList, cod: TypeList, nodes: tuple[Generator, ...],
+               wires: tuple[Wire, ...], doubled: bool = False) -> Diagram:
+    """A ``Diagram`` made without the check, for a caller that builds it
+    from valid diagrams by a rule that keeps it valid."""
+    d = object.__new__(Diagram)
+    d.__dict__.update(dom=dom, cod=cod, nodes=nodes, wires=wires,
+                      doubled=doubled)
+    return d
+
+
+def _laid_out(*fields) -> Diagram:
+    """``_unchecked(*fields)``, whose caller listed the wires into the
+    boundary outputs last, in port order."""
+    d = _unchecked(*fields)
+    d.__dict__["_outputs_last"] = d.wires
     return d
 
 
 def identity(types: TypeList) -> Diagram:
     """Node-less identity: each wire runs straight through."""
     types = tuple(types)
-    return _valid(Diagram(types, types, (), tuple(
-        (IN, k, OUT, k) for k in range(len(types)))))
+    return _laid_out(types, types, (), tuple(
+        (IN, k, OUT, k) for k in range(len(types))))
 
 
 def _one_node(gen: Generator) -> Diagram:
     """The diagram of a single node, its ports wired to the boundary in order."""
-    return _valid(Diagram(gen.dom, gen.cod, (gen,),
-                          tuple((IN, k, 0, k) for k in range(len(gen.dom)))
-                          + tuple((0, k, OUT, k)
-                                  for k in range(len(gen.cod)))))
+    return _laid_out(gen.dom, gen.cod, (gen,),
+                     tuple((IN, k, 0, k) for k in range(len(gen.dom)))
+                     + tuple((0, k, OUT, k) for k in range(len(gen.cod))))
 
 
 def identity_node(t: WireType) -> Diagram:
@@ -271,8 +275,8 @@ def permutation(types: TypeList, perm: list[int]) -> Diagram:
                 current[j], current[j + 1] = b, a
                 changed = True
     wires += [feed[j] + (OUT, j) for j in range(len(types))]
-    return _valid(Diagram(types, tuple(types[i] for i in current),
-                          tuple(nodes), tuple(wires)))
+    return _laid_out(types, tuple(types[i] for i in current),
+                     tuple(nodes), tuple(wires))
 
 
 # -- composition ---------------------------------------------------------
@@ -298,8 +302,7 @@ def compose_seq(f: Diagram, g: Diagram) -> Diagram:
         (f_wires[n + sp][:2] if sn == IN else (sn + shift, sp))
         + (dn if dn < 0 else dn + shift, dp)
         for sn, sp, dn, dp in g_wires)
-    return _valid(Diagram(f.dom, g.cod, f.nodes + g.nodes, wires,
-                          doubled=f.doubled))
+    return _laid_out(f.dom, g.cod, f.nodes + g.nodes, wires, f.doubled)
 
 
 def compose_par(f: Diagram, g: Diagram) -> Diagram:
@@ -316,26 +319,16 @@ def compose_par(f: Diagram, g: Diagram) -> Diagram:
         for sn, sp, dn, dp in g._outputs_last)
     n, m = len(f_wires) - dout, len(g_wires) - len(g.cod)
     wires = f_wires[:n] + g_wires[:m] + f_wires[n:] + g_wires[m:]
-    return _valid(Diagram(f.dom + g.dom, f.cod + g.cod, f.nodes + g.nodes,
-                          wires, doubled=f.doubled))
+    return _laid_out(f.dom + g.dom, f.cod + g.cod, f.nodes + g.nodes,
+                     wires, f.doubled)
 
 
 # -- validation ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    detail: str
-
-    def __str__(self) -> str:
-        return f"{self.kind}: {self.detail}"
-
-
-def validate(d: Diagram) -> list[Violation]:
-    """Check the port-graph invariants; an empty list means well-formed.
-
-    The violations are reported in this order:
+def _check(d: Diagram) -> None:
+    """Raise ``InvalidDiagram`` naming every violation of the port-graph
+    invariants, each as ``kind: detail``, joined by ``; `` in this order:
 
     * ``BadEndpoint``: a wire end names a node that does not exist, or a
       port that is negative or past the end of that node's (or the
@@ -346,7 +339,7 @@ def validate(d: Diagram) -> list[Violation]:
     * ``PortUnused``: a node port is the end of no wire;
     * ``Cycle``: the wires between nodes form a directed cycle.
     """
-    found: list[Violation] = []
+    found: list[str] = []
     n = len(d.nodes)
     src_seen: dict[tuple[int, int], int] = {}
     dst_seen: dict[tuple[int, int], int] = {}
@@ -359,31 +352,31 @@ def validate(d: Diagram) -> list[Violation]:
         dst = d.cod if dn == OUT else d.nodes[dn].dom if 0 <= dn < n else ()
         if not 0 <= sp < len(src):
             where = "exceeds input boundary" if sn == IN else "has no source port"
-            found.append(Violation("BadEndpoint", f"wire {w} {where}"))
+            found.append(f"BadEndpoint: wire {w} {where}")
         elif not 0 <= dp < len(dst):
             where = "exceeds output boundary" if dn == OUT else "has no target port"
-            found.append(Violation("BadEndpoint", f"wire {w} {where}"))
+            found.append(f"BadEndpoint: wire {w} {where}")
         elif src[sp] != dst[dp]:
-            found.append(Violation("TypeMismatch",
-                                   f"wire {w} joins {src[sp]} to {dst[dp]}"))
+            found.append(f"TypeMismatch: wire {w} joins {src[sp]} to "
+                         f"{dst[dp]}")
         if 0 <= sn < n and 0 <= dn < n:
             succ[sn].add(dn)
     for (ep, count) in list(src_seen.items()) + list(dst_seen.items()):
         if count > 1:
-            found.append(Violation("PortReuse", f"port {ep} used {count} times"))
+            found.append(f"PortReuse: port {ep} used {count} times")
     for k in range(len(d.dom)):
         if (IN, k) not in src_seen:
-            found.append(Violation("OpenPortUnused", f"boundary input {k} unused"))
+            found.append(f"OpenPortUnused: boundary input {k} unused")
     for k in range(len(d.cod)):
         if (OUT, k) not in dst_seen:
-            found.append(Violation("OpenPortUnused", f"boundary output {k} unused"))
+            found.append(f"OpenPortUnused: boundary output {k} unused")
     for i, gen in enumerate(d.nodes):
         for p in range(len(gen.dom)):
             if (i, p) not in dst_seen:
-                found.append(Violation("PortUnused", f"input port ({i}, {p}) unused"))
+                found.append(f"PortUnused: input port ({i}, {p}) unused")
         for p in range(len(gen.cod)):
             if (i, p) not in src_seen:
-                found.append(Violation("PortUnused", f"output port ({i}, {p}) unused"))
+                found.append(f"PortUnused: output port ({i}, {p}) unused")
     # Kahn's algorithm: the nodes never freed lie on or behind a cycle
     indeg = [0] * n
     for js in succ:
@@ -396,17 +389,9 @@ def validate(d: Diagram) -> list[Violation]:
             if not indeg[j]:
                 free.append(j)
     if len(free) != n:
-        found.append(Violation("Cycle", "port-graph has a directed cycle"))
-    return found
-
-
-def check_valid(d: Diagram) -> None:
-    """Raise ``InvalidDiagram`` naming every violation if *d* has any.
-
-    The violations are kept on *d*, so it is validated at most once.
-    """
-    if d._violations:
-        raise InvalidDiagram("; ".join(str(v) for v in d._violations))
+        found.append("Cycle: port-graph has a directed cycle")
+    if found:
+        raise InvalidDiagram("; ".join(found))
 
 
 # -- canonical ordering --------------------------------------------------
@@ -555,17 +540,13 @@ def diagram_from_json(data: dict) -> Diagram:
                 f"diagram node {entry['id']}: a {gen.kind} cannot go from "
                 f"[{typelist_str(gen.dom)}] to [{typelist_str(gen.cod)}]")
         nodes.append(gen)
-    d = Diagram(
-        dom=types(data, "inputs", "diagram", []),
-        cod=types(data, "outputs", "diagram", []),
-        nodes=tuple(nodes),
-        wires=tuple(tuple(w) for w in edges),
-        doubled=require(data, "doubled", bool, "diagram", False),
-    )
+    dom = types(data, "inputs", "diagram", [])
+    cod = types(data, "outputs", "diagram", [])
+    doubled = require(data, "doubled", bool, "diagram", False)
     table = set(require(data, "types", dict, "diagram", {}))
     if table:
-        for g in d.nodes:
+        for g in nodes:
             check_declared(g.dom + g.cod, table)
-        check_declared(d.dom + d.cod, table)
-    check_valid(d)
-    return d
+        check_declared(dom + cod, table)
+    return Diagram(dom, cod, tuple(nodes), tuple(tuple(w) for w in edges),
+                   doubled)

@@ -23,7 +23,7 @@ import heapq
 from dataclasses import dataclass
 
 from . import diagram as dg
-from .diagram import CAP, CUP, IDENTITY, SWAP, Diagram, check_valid
+from .diagram import CAP, CUP, IDENTITY, SWAP, Diagram
 from .errors import ShapeMismatch
 
 __all__ = ["NormalForm", "normalize", "equal"]
@@ -43,8 +43,6 @@ def normalize(d: Diagram) -> NormalForm:
     rules have no overlapping redexes, so the result is confluent:
     normalizing a normal form is a no-op.
     """
-    check_valid(d)
-
     nodes: dict[int, dg.Generator] = dict(enumerate(d.nodes))
     # the live port map: an output port to the input port it feeds, and back
     nxt = {(sn, sp): (dn, dp) for sn, sp, dn, dp in d.wires}
@@ -73,14 +71,11 @@ def normalize(d: Diagram) -> NormalForm:
 
     # rebuild with dense ids, then canonical renumbering
     remap = {old: new for new, old in enumerate(nodes)}
-    packed = Diagram(
-        dom=d.dom,
-        cod=d.cod,
-        nodes=tuple(nodes.values()),
-        wires=tuple((remap.get(sn, sn), sp, remap.get(dn, dn), dp)
-                    for (sn, sp), (dn, dp) in nxt.items()),
-        doubled=d.doubled,
-    )
+    packed = dg._unchecked(
+        d.dom, d.cod, tuple(nodes.values()),
+        tuple((remap.get(sn, sn), sp, remap.get(dn, dn), dp)
+              for (sn, sp), (dn, dp) in nxt.items()),
+        d.doubled)
     return NormalForm(packed.canonical(), tuple(trace))
 
 

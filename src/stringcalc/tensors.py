@@ -42,7 +42,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .diagram import (BOX, CAP, CUP, IDENTITY, IN, OUT, SPIDER, SWAP,
-                      Diagram, check_valid)
+                      Diagram, _unchecked)
 from .errors import (DimensionMismatch, MissingPayload, NotHermitian,
                      NotSquare, ShapeMismatch, StateExplosion, ZeroNorm)
 
@@ -103,6 +103,11 @@ class Payload:
     tensor: Tensor
     kind: str = "pure"  # "pure" | "mixed"
 
+    def __post_init__(self):
+        if self.kind not in ("pure", "mixed"):
+            raise ValueError(f"payload kind must be 'pure' or 'mixed', "
+                             f"got {self.kind!r}")
+
 
 @dataclass(frozen=True)
 class Model:
@@ -112,11 +117,15 @@ class Model:
     payloads: dict[str, Payload] = field(default_factory=dict)
     doubling: str = "thin"  # "thin" | "thick"
 
+    def __post_init__(self):
+        if self.doubling not in ("thin", "thick"):
+            raise ValueError(f"doubling must be 'thin' or 'thick', "
+                             f"got {self.doubling!r}")
+
 
 def double(d: Diagram) -> Diagram:
     """Mark a diagram for thick-wire (density-matrix) evaluation."""
-    check_valid(d)
-    return replace(d, doubled=True)
+    return _unchecked(d.dom, d.cod, d.nodes, d.wires, True)
 
 
 def double_array(a: np.ndarray) -> np.ndarray:
@@ -132,7 +141,6 @@ def double_array(a: np.ndarray) -> np.ndarray:
 
 def evaluate(d: Diagram, model: Model) -> Tensor:
     """Contract a diagram to a tensor over its open ports (inputs first)."""
-    check_valid(d)
     thick = d.doubled or model.doubling == "thick"
 
     def wdim(base: str) -> int:
@@ -402,7 +410,9 @@ def entropy(t: Tensor) -> float:
 
     The matrix must be Hermitian to within 1e-9 times its norm or 1,
     whichever is larger.  It is normalized to unit trace, and eigenvalues
-    up to 1e-12 count as exact zeros.
+    up to 1e-12 count as exact zeros.  A pure state gives ``+0.0``: the
+    sum is clamped at 0, so neither ``-0.0`` nor a rounding error below 0
+    comes out.
     """
     rho = as_density_matrix(t)
     scale = max(np.linalg.norm(rho), 1.0)
@@ -413,7 +423,7 @@ def entropy(t: Tensor) -> float:
         raise ValueError("density matrix must have positive trace")
     eigs = np.linalg.eigvalsh(rho) / trace
     eigs = eigs[eigs > 1e-12]
-    return float(-np.sum(eigs * np.log2(eigs)))
+    return max(0.0, float(-np.sum(eigs * np.log2(eigs))))
 
 
 def similarity(t1: Tensor, t2: Tensor, kind: str = "cosine") -> float:

@@ -277,6 +277,9 @@ def _snake_with(k, edge):
     # a tolerance that is NaN or negative (teleport reads no file)
     (["teleport", "--tol", "nan", "--dim", "2"], None, "tolerance"),
     (["teleport", "--tol", "-1", "--dim", "2"], None, "tolerance"),
+    # a mixed word evaluated without --thick
+    (["meaning", "queen who rocks", "--target", "n"],
+     json.loads((DATA / "language.json").read_text()), "thick-wire"),
 ], ids=["copula-type", "negation-type", "relpron-no-repeat", "relpron-one-leg",
         "lexicon-no-bases", "presentation-no-rules", "node-no-kind",
         "dimension-not-int", "rule-from-not-list", "undeclared-base",
@@ -289,7 +292,7 @@ def _snake_with(k, edge):
         "node-payload-not-string", "types-not-object",
         "parse-undeclared-target", "meaning-undeclared-target",
         "rate-negative-max-steps", "edge-node-out-of-range",
-        "edge-negative-port", "tol-nan", "tol-negative"])
+        "edge-negative-port", "tol-nan", "tol-negative", "mixed-word-thin"])
 def test_malformed_input_exit_2_with_one_error_line(capsys, tmp_path, argv,
                                                     data, named):
     if data is not None:
@@ -380,6 +383,35 @@ def test_disambiguate_decreases_entropy(capsys):
     before = float(lines[0].split("\t")[1])
     after = float(lines[1].split("\t")[1])
     assert after < before
+
+
+def test_disambiguate_pure_word_prints_plus_zero(capsys):
+    code, out, _ = run(capsys, "disambiguate", str(DATA / "language.json"),
+                       "Alice", "")
+    assert code == 1  # no decrease from zero
+    assert out == "entropy before\t0.000000000\nentropy after\t0.000000000\n"
+
+
+def test_similarity_json_format(capsys):
+    argv = ["similarity", str(DATA / "hunting.json"), "lion hunts pray",
+            "cheetah hunts pray"]
+    code, text, _ = run(capsys, *argv)
+    json_code, out, err = run(capsys, "--format", "json", *argv)
+    assert (json_code, err) == (code, "") and code == 0
+    payload = json.loads(out)
+    assert list(payload) == ["similarity"]
+    assert text == f"{payload['similarity']:.12f}\n"
+
+
+def test_disambiguate_json_format(capsys):
+    argv = ["disambiguate", str(DATA / "language.json"), "queen", "who rocks"]
+    code, text, _ = run(capsys, *argv)
+    json_code, out, err = run(capsys, "--format", "json", *argv)
+    assert (json_code, err) == (code, "") and code == 0
+    payload = json.loads(out)
+    assert list(payload) == ["after", "before"]
+    assert text == (f"entropy before\t{payload['before']:.9f}\n"
+                    f"entropy after\t{payload['after']:.9f}\n")
 
 
 def test_normalize_snake_to_identity(capsys):

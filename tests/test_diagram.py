@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,14 +10,19 @@ from conftest import random_diagram, random_morphism, random_types
 from stringcalc import diagram as dg
 from stringcalc.cli import main
 from stringcalc.diagram import (IN, OUT, Diagram, Generator, diagram_from_json,
-                                diagram_to_json, identity, validate)
+                                diagram_to_json, identity)
 from stringcalc.errors import InvalidDiagram, TypeMismatch, UnknownBase, ZeroArity
 from stringcalc.rewrite import normalize
-from stringcalc.tensors import Model, evaluate, random_payloads
+from stringcalc.tensors import Model, double, evaluate, random_payloads
 from stringcalc.types import WireType, parse_typelist
 
 A = WireType("a")
 B = WireType("b")
+
+
+def _kind(kind):
+    """A pattern for one violation of *kind* in an ``InvalidDiagram`` message."""
+    return rf"(^|; ){kind}: "
 
 
 def test_identity_composition_is_neutral():
@@ -64,7 +70,7 @@ def test_cup_cap_boundaries():
     assert k.dom == (A, A.l) and k.cod == ()
     snake = (identity((A,)) @ c) >> (k @ identity((A,)))
     assert snake.dom == snake.cod == (A,)
-    assert validate(snake) == []
+    assert dataclasses.replace(snake) == snake  # rebuilt through the check
 
 
 def test_spider_needs_a_leg():
@@ -79,7 +85,7 @@ def test_permutation_matches_numpy_transpose():
         types = random_types(rng, int(rng.integers(2, 5)), zlo=0, zhi=0)
         perm = list(rng.permutation(len(types)))
         d = dg.permutation(types, perm)
-        assert validate(d) == []
+        assert dataclasses.replace(d) == d  # rebuilt through the check
         arr = evaluate(d, model).to_array()
         dims = [model.dims[t.base] for t in types]
         expected = np.zeros(dims + [dims[perm.index(k)]
@@ -100,7 +106,7 @@ def test_permutation_has_one_swap_per_inversion():
                          for i in range(width) for j in range(i + 1, width))
         d = dg.permutation(((A, B) * width)[:width], perm)
         assert [g.kind for g in d.nodes] == [dg.SWAP] * inversions
-        assert validate(d) == []
+        assert dataclasses.replace(d) == d  # rebuilt through the check
 
 
 def test_permutation_rejects_non_permutation():
@@ -130,34 +136,56 @@ def test_disconnected_scalar_components_canonicalize():
 def test_validate_detects_port_reuse_and_dangling():
     gen = Generator("box", (A,), (A,), name="f")
     # output port 0 feeds two wires
-    d = Diagram((A,), (A, A), (gen,),
+    with pytest.raises(InvalidDiagram, match=_kind("PortReuse")):
+        Diagram((A,), (A, A), (gen,),
                 ((IN, 0, 0, 0), (0, 0, OUT, 0), (0, 0, OUT, 1)))
-    kinds = {v.kind for v in validate(d)}
-    assert "PortReuse" in kinds
     # missing wire to the box input
-    d2 = Diagram((), (A,), (gen,), ((0, 0, OUT, 0),))
-    kinds2 = {v.kind for v in validate(d2)}
-    assert "PortUnused" in kinds2
+    with pytest.raises(InvalidDiagram, match=_kind("PortUnused")):
+        Diagram((), (A,), (gen,), ((0, 0, OUT, 0),))
 
 
 def test_validate_detects_type_mismatch_and_cycle():
     gen = Generator("box", (A,), (B,), name="f")
-    d = Diagram((B,), (B,), (gen,), ((IN, 0, 0, 0), (0, 0, OUT, 0)))
-    assert any(v.kind == "TypeMismatch" for v in validate(d))
+    with pytest.raises(InvalidDiagram, match=_kind("TypeMismatch")):
+        Diagram((B,), (B,), (gen,), ((IN, 0, 0, 0), (0, 0, OUT, 0)))
     loop = Generator("box", (A,), (A,), name="l")
-    d2 = Diagram((), (), (loop,), ((0, 0, 0, 0),))
-    assert any(v.kind == "Cycle" for v in validate(d2))
+    with pytest.raises(InvalidDiagram, match=_kind("Cycle")):
+        Diagram((), (), (loop,), ((0, 0, 0, 0),))
 
 
 def test_validate_detects_bad_endpoints():
-    d = Diagram((A,), (A,), (), ((IN, 0, OUT, 5),))
-    assert any(v.kind == "BadEndpoint" for v in validate(d))
+    with pytest.raises(InvalidDiagram, match=_kind("BadEndpoint")):
+        Diagram((A,), (A,), (), ((IN, 0, OUT, 5),))
+
+
+def test_invalid_diagram_message_names_every_violation_in_order():
+    f = Generator("box", (A,), (B,), name="f")
+    loop = Generator("box", (A,), (A,), name="l")
+    state = Generator("box", (), (A,), name="g")
+    args = ((A,), (A, A, B), (f, loop, state),
+            ((IN, 0, 0, 0), (0, 0, OUT, 0), (0, 0, OUT, 5), (1, 0, 1, 0)))
+    message = ("TypeMismatch: wire (0, 0, -2, 0) joins b to a; "
+               "BadEndpoint: wire (0, 0, -2, 5) exceeds output boundary; "
+               "PortReuse: port (0, 0) used 2 times; "
+               "OpenPortUnused: boundary output 1 unused; "
+               "OpenPortUnused: boundary output 2 unused; "
+               "PortUnused: output port (2, 0) unused; "
+               "Cycle: port-graph has a directed cycle")
+    with pytest.raises(InvalidDiagram) as built:
+        Diagram(*args)
+    assert str(built.value) == message
+    valid = Diagram((A,), (A,), (), ((IN, 0, OUT, 0),))
+    with pytest.raises(InvalidDiagram) as replaced:
+        dataclasses.replace(valid, **dict(zip(
+            ("dom", "cod", "nodes", "wires"), args)))
+    assert str(replaced.value) == message
 
 
 def test_validate_reports_every_missing_endpoint_without_raising():
     """One wire field of a well-formed diagram set to a value in -3..8:
-    validate reports BadEndpoint exactly when the wire names a node or a
-    port that does not exist."""
+    building the mutant reports BadEndpoint exactly when the wire names a
+    node or a port that does not exist, and raises nothing but
+    ``InvalidDiagram``."""
     rng = np.random.default_rng(23)
     bad = 0
     for _ in range(400):
@@ -174,20 +202,25 @@ def test_validate_reports_every_missing_endpoint_without_raising():
         w[int(rng.integers(4))] = int(rng.integers(-3, 9))
         wires[k] = tuple(w)
         missing = (w[0], w[1]) not in sources or (w[2], w[3]) not in targets
-        found = validate(dataclasses.replace(d, wires=tuple(wires)))
-        assert any(v.kind == "BadEndpoint" for v in found) == missing
+        try:
+            dataclasses.replace(d, wires=tuple(wires))
+            found = ""
+        except InvalidDiagram as exc:
+            found = str(exc)
+        assert bool(re.search(_kind("BadEndpoint"), found)) == missing
         bad += missing
     assert bad > 100
 
 
-@pytest.mark.parametrize("d", [
-    Diagram((A,), (), (), ()),
-    Diagram((), (), (Generator("box", (), (A,), name="f"),), ()),
+@pytest.mark.parametrize("make", [
+    lambda: Diagram((A,), (), (), ()),
+    lambda: Diagram((), (), (Generator("box", (), (A,), name="f"),), ()),
 ], ids=["boundary-port-unused", "node-port-unused"])
-def test_invalid_diagram_does_not_canonicalize(d):
-    for use in (Diagram.canonical, hash, lambda d: d == d):
-        with pytest.raises(InvalidDiagram, match="Unused"):
-            use(d)
+def test_invalid_diagram_does_not_canonicalize(make):
+    """Such a diagram cannot be built, so nothing canonicalizes, hashes or
+    compares it."""
+    with pytest.raises(InvalidDiagram, match="Unused"):
+        make()
 
 
 def test_boxes_that_differ_only_by_a_missing_payload_canonicalize(
@@ -343,15 +376,17 @@ def _into(rng, types, tag):
     return random_morphism(rng, types, cod, tag)
 
 
-def _marked_valid(d):
-    return d.__dict__.get("_violations") == ()
+def _outputs_last(d):
+    """Whether *d* lists the wires into its outputs last, in port order."""
+    tail = d.wires[len(d.wires) - len(d.cod):]
+    return [w[2:] for w in tail] == [(OUT, p) for p in range(len(d.cod))]
 
 
 def test_composition_matches_the_reference():
     """Seeded pairs of random and constructed diagrams, as built,
     shuffled or canonical, compose to what the previous composition
-    gave, with the outputs' wires last, and the result's validity mark
-    agrees with a fresh check."""
+    gave, with the outputs' wires last, and the result passes the check
+    that its construction skipped."""
     rng = np.random.default_rng(2024)
     reordered = 0
     for k in range(400):
@@ -369,15 +404,13 @@ def test_composition_matches_the_reference():
             f = dataclasses.replace(f, doubled=True)
             g = dataclasses.replace(g, doubled=True)
         f, g = _reordered(rng, f), _reordered(rng, g)
-        reordered += not (_marked_valid(f) and _marked_valid(g))
+        reordered += not (_outputs_last(f) and _outputs_last(g))
         got, want = compose(f, g), reference(f, g)
         assert (got.dom, got.cod, got.doubled, got.nodes) == \
             (want.dom, want.cod, want.doubled, want.nodes)
         assert sorted(got.wires) == sorted(want.wires)
-        tail = got.wires[len(got.wires) - len(got.cod):]
-        assert [w[2:] for w in tail] == [(OUT, p) for p in range(len(got.cod))]
-        assert _marked_valid(got) == (validate(got) == [])
-        assert validate(got) == []
+        assert _outputs_last(got)
+        assert dataclasses.replace(got) == got  # rebuilt through the check
     assert reordered > 150
 
 
@@ -392,22 +425,19 @@ def _duplicated_output():
     return Diagram((A,), (A,), (state,), ((IN, 0, OUT, 0), (0, 0, OUT, 0)))
 
 
-@pytest.mark.parametrize("make", [_missing_output, _duplicated_output],
-                         ids=["missing-output", "duplicated-output"])
-def test_composing_a_malformed_operand_raises(make):
-    bad = make()
-    for compose in (
-            lambda: bad >> identity(bad.cod),
-            lambda: identity(bad.dom) >> bad,
-            lambda: bad @ identity((B,)),
-            lambda: identity((B,)) @ bad):
-        with pytest.raises(InvalidDiagram, match="OpenPortUnused|PortReuse"):
-            compose()
-    assert not _marked_valid(bad) and validate(bad) != []
+@pytest.mark.parametrize("make, kind", [
+    (_missing_output, "OpenPortUnused"), (_duplicated_output, "PortReuse"),
+], ids=["missing-output", "duplicated-output"])
+def test_composing_a_malformed_operand_raises(make, kind):
+    """A malformed operand cannot be built, so ``>>`` and ``@`` never
+    see one."""
+    with pytest.raises(InvalidDiagram, match=_kind(kind)):
+        identity((A,)) >> make()
 
 
 def test_an_invalid_operand_is_never_marked_valid():
-    """A random diagram with one wire dropped composes on neither side."""
+    """A random diagram with one wire dropped cannot be built, so it is
+    never an operand."""
     rng = np.random.default_rng(7)
     tried = 0
     for _ in range(200):
@@ -415,38 +445,37 @@ def test_an_invalid_operand_is_never_marked_valid():
         if not d.wires:
             continue
         drop = int(rng.integers(len(d.wires)))
-        bad = dataclasses.replace(d, wires=d.wires[:drop] + d.wires[drop + 1:])
-        for compose in (lambda: bad >> identity(bad.cod),
-                        lambda: identity(bad.dom) >> bad,
-                        lambda: bad @ d, lambda: d @ bad):
-            with pytest.raises(InvalidDiagram):
-                compose()
-        assert not _marked_valid(bad)
+        with pytest.raises(InvalidDiagram, match="Unused"):
+            dataclasses.replace(d, wires=d.wires[:drop] + d.wires[drop + 1:])
         tried += 1
     assert tried > 150
 
 
 def test_a_diagram_is_validated_once(monkeypatch):
     calls = []
-    real = dg.validate
+    real = dg._check
 
     def counting(d):
         calls.append(d)
-        return real(d)
+        real(d)
 
-    monkeypatch.setattr(dg, "validate", counting)
+    monkeypatch.setattr(dg, "_check", counting)
     snake = (identity((A,)) @ dg.cup("a")) >> (dg.cap("a") @ identity((A,)))
     loaded = diagram_from_json(diagram_to_json(snake >> snake))
+    assert calls == [loaded]  # checked at load; the constructed parts never
     normalize(loaded)
     normalize(loaded)
     model = random_payloads(Model(dims={"a": 2}), (loaded,), seed=0)
     evaluate(loaded, model)
     evaluate(loaded, dataclasses.replace(model, doubling="thick"))
-    assert calls == [loaded]  # the constructed parts were never checked
+    normalize(loaded).diagram >> identity((A,))
+    evaluate(double(loaded), model)
+    assert calls == [loaded]
     assert normalize(snake >> loaded).diagram == identity((A,))
     assert calls == [loaded]
-    # a hand-built diagram is checked on first use, and only then
+    # a hand-built diagram is checked when it is built, and only then
     hand = Diagram((A,), (A,), (), ((IN, 0, OUT, 0),))
+    assert calls == [loaded, hand]
     evaluate(hand, model)
     hand >> hand
     assert calls == [loaded, hand]

@@ -6,6 +6,7 @@ long since imported numpy; none of them measures time.
 
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +43,16 @@ def test_exported_name_is_its_submodules(name):
     assert obj.__module__.startswith("stringcalc.")
     assert obj is getattr(importlib.import_module(obj.__module__), name)
     assert name in dir(stringcalc)
+
+
+@pytest.mark.parametrize("module", sorted(
+    m.name for m in pkgutil.iter_modules(stringcalc.__path__)))
+def test_submodule_star_import_gives_its_all(module):
+    names = getattr(importlib.import_module(f"stringcalc.{module}"),
+                    "__all__", [])
+    namespace: dict = {}
+    exec(f"from stringcalc.{module} import *", namespace)
+    assert set(names) <= set(namespace)
 
 
 def test_unknown_attribute_raises():

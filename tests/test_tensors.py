@@ -289,6 +289,15 @@ def test_mixed_payload_requires_thick_wires():
     assert np.allclose(out, rho.reshape(4))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Model(dims={"a": 2}, doubling="Thick"),
+    lambda: Payload(Tensor.from_array(np.ones(4)), "Mixed"),
+], ids=["model-doubling", "payload-kind"])
+def test_model_and_payload_take_only_their_documented_values(make):
+    with pytest.raises(ValueError, match="'Thick'|'Mixed'"):
+        make()
+
+
 def test_thick_evaluation_with_mixed_payloads_matches_oracle():
     rng = np.random.default_rng(8)
     dims = {"a": 2, "b": 3}
@@ -394,6 +403,14 @@ def test_entropy_pure_and_mixed():
     assert abs(entropy(mixed) - 2.0) < 1e-12
     # normalization is automatic
     assert abs(entropy(Tensor.from_array(np.eye(3) * 7.0)) - np.log2(3)) < 1e-12
+
+
+def test_entropy_of_a_pure_state_is_plus_zero():
+    """Not ``-0.0`` (the sum of one zero term, negated), and not the
+    -3e-16 that rounding can give for the second state."""
+    for v in (np.array([1.0, 0.0]), np.array([1.0, 6 / 7, 1j])):
+        value = entropy(Tensor.from_array(np.outer(v, v.conj())))
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_entropy_rejects_bad_matrices():

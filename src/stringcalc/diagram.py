@@ -11,27 +11,26 @@ numbering used by structural equality) rather than as rewrite rules.
 Wire encoding: a wire is a 4-tuple ``(sn, sp, dn, dp)``.  ``sn >= 0``
 means output port ``sp`` of node ``sn``; ``sn == -1`` means boundary
 input ``sp``.  ``dn >= 0`` means input port ``dp`` of node ``dn``;
-``dn == -2`` means boundary output ``dp``.  The wires of a diagram are a
-set: their order means nothing, and only the canonical form and the JSON
-writer sort them.
+``dn == -2`` means boundary output ``dp``.
 
-Layout: every constructor here (``identity``, the one-node diagrams,
-``permutation``, ``>>`` and ``@``) lists the wires into the boundary
-outputs last, in port order.  Composition reads the glued ports off that
-tail, so ``f >> g`` costs Python work in ``g`` only, and ``f @ g`` in
-``g`` and ``f``'s outputs; only the tuple copies of ``f``'s nodes and
-wires grow with ``f``.  A diagram in any other wire order (built by
-hand, loaded, or canonical) composes the same, after one pass that puts
-its wires in this order, made once per diagram.  The stored order is
-never changed, and no result depends on it.
+Every ``Diagram`` is valid: building one (``Diagram(...)`` or
+``dataclasses.replace``) establishes these invariants in one pass, or
+raises ``InvalidDiagram`` naming every violation:
 
-Every ``Diagram`` is valid: building one checks the port-graph
-invariants and raises ``InvalidDiagram`` naming every violation, so a
-diagram built by hand or loaded is checked once, when it is made, and no
-operation checks its input again.  A diagram that a rule which keeps
-validity builds from valid ones (``identity``, the one-node diagrams,
-``permutation``, ``>>``, ``@``, the canonical form, the normal form and
-the double) skips the check.
+* ``dom``, ``cod``, ``nodes`` and ``wires`` are tuples;
+* each node fits its kind: a cup is ``[] -> [t.l, t]``, a cap
+  ``[t, t.l] -> []``, a swap ``[u, v] -> [v, u]``, an identity
+  ``[t] -> [t]``, a spider's legs share one base, and a box is any arrow;
+* the wires form an acyclic port graph: each joins two existing ports of
+  one type, and each port is the end of exactly one wire;
+* the wires into the boundary outputs come last, in port order.  The
+  wires are a set and no result depends on their order, but ``f >> g``
+  reads the glued ports off that tail, so it costs Python work in ``g``
+  only, and ``f @ g`` in ``g`` and ``f``'s outputs.
+
+So no operation checks its input.  What a rule that keeps the invariants
+builds from valid diagrams (the constructors here, ``>>``, ``@``, the
+canonical and normal forms and the double) skips the check.
 """
 
 from __future__ import annotations
@@ -100,7 +99,9 @@ class Diagram:
     doubled: bool = False
 
     def __post_init__(self) -> None:
-        _check(self)
+        self.__dict__.update(dom=tuple(self.dom), cod=tuple(self.cod),
+                             nodes=tuple(self.nodes))
+        self.__dict__["wires"] = _check(self)
 
     # -- composition ---------------------------------------------------
 
@@ -124,15 +125,6 @@ class Diagram:
 
     def src_type(self, sn: int, sp: int) -> WireType:
         return self.dom[sp] if sn == IN else self.nodes[sn].cod[sp]
-
-    @cached_property
-    def _outputs_last(self) -> tuple[Wire, ...]:
-        """The wires, those into the boundary outputs last and in port
-        order.  Preset to the wires themselves by the constructors, which
-        keep this order."""
-        out = {w[3]: w for w in self.wires if w[2] == OUT}  # one per output
-        return (tuple(w for w in self.wires if w[2] != OUT)
-                + tuple(out[p] for p in range(len(self.cod))))
 
     # -- structural equality -------------------------------------------
 
@@ -171,33 +163,25 @@ class Diagram:
 def _unchecked(dom: TypeList, cod: TypeList, nodes: tuple[Generator, ...],
                wires: tuple[Wire, ...], doubled: bool = False) -> Diagram:
     """A ``Diagram`` made without the check, for a caller that builds it
-    from valid diagrams by a rule that keeps it valid."""
+    from valid diagrams by a rule that keeps the invariants."""
     d = object.__new__(Diagram)
     d.__dict__.update(dom=dom, cod=cod, nodes=nodes, wires=wires,
                       doubled=doubled)
     return d
 
 
-def _laid_out(*fields) -> Diagram:
-    """``_unchecked(*fields)``, whose caller listed the wires into the
-    boundary outputs last, in port order."""
-    d = _unchecked(*fields)
-    d.__dict__["_outputs_last"] = d.wires
-    return d
-
-
 def identity(types: TypeList) -> Diagram:
     """Node-less identity: each wire runs straight through."""
     types = tuple(types)
-    return _laid_out(types, types, (), tuple(
+    return _unchecked(types, types, (), tuple(
         (IN, k, OUT, k) for k in range(len(types))))
 
 
 def _one_node(gen: Generator) -> Diagram:
     """The diagram of a single node, its ports wired to the boundary in order."""
-    return _laid_out(gen.dom, gen.cod, (gen,),
-                     tuple((IN, k, 0, k) for k in range(len(gen.dom)))
-                     + tuple((0, k, OUT, k) for k in range(len(gen.cod))))
+    return _unchecked(gen.dom, gen.cod, (gen,),
+                      tuple((IN, k, 0, k) for k in range(len(gen.dom)))
+                      + tuple((0, k, OUT, k) for k in range(len(gen.cod))))
 
 
 def identity_node(t: WireType) -> Diagram:
@@ -242,6 +226,9 @@ def swap(u: WireType, v: WireType) -> Diagram:
 
 def spider(base: str, n_in: int, m_out: int) -> Diagram:
     """A Frobenius spider with ``n_in + m_out`` legs of type ``base^0``."""
+    if n_in < 0 or m_out < 0:
+        raise ValueError(f"a spider cannot have {n_in} inputs and {m_out} "
+                         "outputs")
     if n_in + m_out < 1:
         raise ZeroArity("a spider needs at least one leg")
     t = WireType(base)
@@ -275,8 +262,8 @@ def permutation(types: TypeList, perm: list[int]) -> Diagram:
                 current[j], current[j + 1] = b, a
                 changed = True
     wires += [feed[j] + (OUT, j) for j in range(len(types))]
-    return _laid_out(types, tuple(types[i] for i in current),
-                     tuple(nodes), tuple(wires))
+    return _unchecked(types, tuple(types[i] for i in current),
+                      tuple(nodes), tuple(wires))
 
 
 # -- composition ---------------------------------------------------------
@@ -294,7 +281,7 @@ def compose_seq(f: Diagram, g: Diagram) -> Diagram:
         raise TypeMismatch(
             f"arity mismatch: {len(f.cod)} outputs vs {len(g.dom)} inputs")
     shift = len(f.nodes)
-    f_wires, g_wires = f._outputs_last, g._outputs_last
+    f_wires, g_wires = f.wires, g.wires
     n = len(f_wires) - len(f.cod)
     # f's wires up to its outputs survive unchanged; the ports feeding
     # those outputs feed g's inputs
@@ -302,7 +289,7 @@ def compose_seq(f: Diagram, g: Diagram) -> Diagram:
         (f_wires[n + sp][:2] if sn == IN else (sn + shift, sp))
         + (dn if dn < 0 else dn + shift, dp)
         for sn, sp, dn, dp in g_wires)
-    return _laid_out(f.dom, g.cod, f.nodes + g.nodes, wires, f.doubled)
+    return _unchecked(f.dom, g.cod, f.nodes + g.nodes, wires, f.doubled)
 
 
 def compose_par(f: Diagram, g: Diagram) -> Diagram:
@@ -311,25 +298,38 @@ def compose_par(f: Diagram, g: Diagram) -> Diagram:
         raise TypeMismatch("cannot juxtapose a doubled with a plain diagram")
     shift = len(f.nodes)
     din, dout = len(f.dom), len(f.cod)
-    f_wires = f._outputs_last
+    f_wires = f.wires
     # g's nodes are numbered after f's, and its open ports after f's
     g_wires = tuple(
         (sn if sn < 0 else sn + shift, sp + din if sn == IN else sp,
          dn if dn < 0 else dn + shift, dp + dout if dn == OUT else dp)
-        for sn, sp, dn, dp in g._outputs_last)
+        for sn, sp, dn, dp in g.wires)
     n, m = len(f_wires) - dout, len(g_wires) - len(g.cod)
     wires = f_wires[:n] + g_wires[:m] + f_wires[n:] + g_wires[m:]
-    return _laid_out(f.dom + g.dom, f.cod + g.cod, f.nodes + g.nodes,
-                     wires, f.doubled)
+    return _unchecked(f.dom + g.dom, f.cod + g.cod, f.nodes + g.nodes,
+                      wires, f.doubled)
 
 
 # -- validation ----------------------------------------------------------
 
 
-def _check(d: Diagram) -> None:
-    """Raise ``InvalidDiagram`` naming every violation of the port-graph
-    invariants, each as ``kind: detail``, joined by ``; `` in this order:
+# What each node kind's dom and cod must be.
+_FITS = {
+    BOX: lambda dom, cod: True,
+    CUP: lambda dom, cod: not dom and len(cod) == 2 and cod[0] == cod[1].l,
+    CAP: lambda dom, cod: not cod and len(dom) == 2 and dom[1] == dom[0].l,
+    SWAP: lambda dom, cod: len(dom) == 2 and cod == dom[::-1],
+    IDENTITY: lambda dom, cod: len(dom) == 1 and cod == dom,
+    SPIDER: lambda dom, cod: len({t.base for t in dom + cod}) == 1,
+}
 
+
+def _check(d: Diagram) -> tuple[Wire, ...]:
+    """*d*'s wires to store: tuples, those into the boundary outputs last
+    in port order.  Else raise ``InvalidDiagram`` naming every violation,
+    each as ``kind: detail``, joined by ``; `` in this order:
+
+    * ``BadNode``: a node's kind is unknown, or its types do not fit it;
     * ``BadEndpoint``: a wire end names a node that does not exist, or a
       port that is negative or past the end of that node's (or the
       boundary's) port list;
@@ -340,14 +340,27 @@ def _check(d: Diagram) -> None:
     * ``Cycle``: the wires between nodes form a directed cycle.
     """
     found: list[str] = []
+    for i, gen in enumerate(d.nodes):
+        if gen.kind not in _FITS:
+            found.append(f"BadNode: node {i} has unknown kind {gen.kind!r}")
+        elif not _FITS[gen.kind](tuple(gen.dom), tuple(gen.cod)):
+            found.append(
+                f"BadNode: node {i}: a {gen.kind} cannot go from "
+                f"[{typelist_str(gen.dom)}] to [{typelist_str(gen.cod)}]")
     n = len(d.nodes)
     src_seen: dict[tuple[int, int], int] = {}
     dst_seen: dict[tuple[int, int], int] = {}
     succ: list[set[int]] = [set() for _ in range(n)]
-    for w in d.wires:
+    inner: list[Wire] = []
+    out: dict[int, Wire] = {}
+    for w in map(tuple, d.wires):
         sn, sp, dn, dp = w
         src_seen[(sn, sp)] = src_seen.get((sn, sp), 0) + 1
         dst_seen[(dn, dp)] = dst_seen.get((dn, dp), 0) + 1
+        if dn == OUT:
+            out[dp] = w
+        else:
+            inner.append(w)
         src = d.dom if sn == IN else d.nodes[sn].cod if 0 <= sn < n else ()
         dst = d.cod if dn == OUT else d.nodes[dn].dom if 0 <= dn < n else ()
         if not 0 <= sp < len(src):
@@ -392,6 +405,8 @@ def _check(d: Diagram) -> None:
         found.append("Cycle: port-graph has a directed cycle")
     if found:
         raise InvalidDiagram("; ".join(found))
+    # valid: exactly one wire into each output
+    return tuple(inner) + tuple(out[p] for p in range(len(d.cod)))
 
 
 # -- canonical ordering --------------------------------------------------
@@ -454,10 +469,12 @@ def _rank(g: Generator) -> tuple:
 
 
 def _renumber(d: Diagram, order: list[int], wires) -> tuple[tuple, tuple]:
-    """The nodes listed in *order*, and *wires* renumbered to match, sorted."""
+    """The nodes listed in *order*, and *wires* renumbered to match and
+    sorted, those into the boundary outputs last and in port order."""
     pos = {n: i for i, n in enumerate(order)}
     pos[IN], pos[OUT] = IN, OUT
-    wires = sorted((pos[sn], sp, pos[dn], dp) for sn, sp, dn, dp in wires)
+    wires = sorted(((pos[sn], sp, pos[dn], dp) for sn, sp, dn, dp in wires),
+                   key=lambda w: (True, w[3]) if w[2] == OUT else (False, w))
     return tuple(d.nodes[i] for i in order), tuple(wires)
 
 
@@ -492,18 +509,6 @@ def diagram_to_json(d: Diagram) -> dict:
     }
 
 
-# What each node kind's dom and cod must be.  Loading checks this, since a
-# loaded node is the only one not built by the constructors above.
-_FITS = {
-    BOX: lambda dom, cod: True,
-    CUP: lambda dom, cod: not dom and len(cod) == 2 and cod[0] == cod[1].l,
-    CAP: lambda dom, cod: not cod and len(dom) == 2 and dom[1] == dom[0].l,
-    SWAP: lambda dom, cod: len(dom) == 2 and cod == dom[::-1],
-    IDENTITY: lambda dom, cod: len(dom) == 1 and cod == dom,
-    SPIDER: lambda dom, cod: len({t.base for t in dom + cod}) == 1,
-}
-
-
 def diagram_from_json(data: dict) -> Diagram:
     """Inverse of :func:`diagram_to_json`; validates the result."""
     def types(obj, key: str, where: str, *default) -> TypeList:
@@ -525,21 +530,13 @@ def diagram_from_json(data: dict) -> Diagram:
         payload = entry.get("payload")
         if payload is not None:  # absent or null: no payload
             require(entry, "payload", str, "diagram node")
-        gen = Generator(
+        nodes.append(Generator(
             kind=require(entry, "kind", str, "diagram node"),
             dom=types(entry, "dom", "diagram node"),
             cod=types(entry, "cod", "diagram node"),
             name=require(entry, "name", str, "diagram node", ""),
             payload=payload,
-        )
-        if gen.kind not in _FITS:
-            raise ValueError(f"diagram node {entry['id']} has unknown kind "
-                             f"{gen.kind!r}")
-        if not _FITS[gen.kind](gen.dom, gen.cod):
-            raise ValueError(
-                f"diagram node {entry['id']}: a {gen.kind} cannot go from "
-                f"[{typelist_str(gen.dom)}] to [{typelist_str(gen.cod)}]")
-        nodes.append(gen)
+        ))
     dom = types(data, "inputs", "diagram", [])
     cod = types(data, "outputs", "diagram", [])
     doubled = require(data, "doubled", bool, "diagram", False)
@@ -548,5 +545,4 @@ def diagram_from_json(data: dict) -> Diagram:
         for g in nodes:
             check_declared(g.dom + g.cod, table)
         check_declared(dom + cod, table)
-    return Diagram(dom, cod, tuple(nodes), tuple(tuple(w) for w in edges),
-                   doubled)
+    return Diagram(dom, cod, nodes, edges, doubled)

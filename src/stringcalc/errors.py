@@ -53,7 +53,8 @@ class ZeroArity(StringCalcError):
 
 
 class InvalidDiagram(StringCalcError):
-    """An operation received a diagram that fails validation."""
+    """A diagram being built breaks a port-graph invariant: a node that
+    does not fit its kind, or wiring that is not one acyclic port graph."""
 
 
 class ShapeMismatch(StringCalcError):

@@ -267,11 +267,11 @@ def grammar_diagram(words: list[str], witness: ParseWitness,
     for pos, word in enumerate(words):
         state = word_state(lexicon.lookup(word)[witness.entry_indices[pos]],
                            lexicon)
-        shift = len(nodes)
-        out = {dp: (sn + shift, sp) for sn, sp, dn, dp in state.wires if dn == OUT}
+        shift, n = len(nodes), len(state.wires) - len(state.cod)
+        # the wires into the state's outputs come last, in port order
         wires += [(sn + shift, sp, dn + shift, dp)
-                  for sn, sp, dn, dp in state.wires if dn != OUT]
-        feeds += [out[p] for p in range(len(state.cod))]
+                  for sn, sp, dn, dp in state.wires[:n]]
+        feeds += [(sn + shift, sp) for sn, sp, _, _ in state.wires[n:]]
         nodes += state.nodes
         row += state.cod
     partner = _link_partners(row, witness.links)
@@ -284,7 +284,7 @@ def grammar_diagram(words: list[str], witness: ParseWitness,
         elif j > k:
             wires += [(sn, sp, len(nodes), 0), (*feeds[j], len(nodes), 1)]
             nodes.append(Generator(CAP, (row[k], row[j]), ()))
-    return Diagram((), tuple(cod), tuple(nodes), tuple(wires))
+    return Diagram((), cod, nodes, wires)
 
 
 def _link_partners(flat, links) -> dict[int, int]:
@@ -336,7 +336,7 @@ def _copula_state(entry: LexEntry) -> Diagram:
         wires += [(1, 0, 2, 0), (2, 0, OUT, 1)]
     else:
         wires.append((1, 0, OUT, 1))
-    return Diagram((), t, tuple(nodes), tuple(wires))
+    return Diagram((), t, nodes, wires)
 
 
 def _relpron_state(entry: LexEntry) -> Diagram:
@@ -351,7 +351,7 @@ def _relpron_state(entry: LexEntry) -> Diagram:
         if k not in noun:
             wires.append((len(nodes), 0, OUT, k))
             nodes.append(Generator(SPIDER, (), (t[k],)))
-    return Diagram((), t, tuple(nodes), tuple(wires))
+    return Diagram((), t, nodes, wires)
 
 
 # -- lexicon loading -------------------------------------------------------

@@ -69,7 +69,11 @@ def normalize(d: Diagram) -> NormalForm:
                     heapq.heappush(heap, n)
         trace.append((rule, removed))
 
-    # rebuild with dense ids, then canonical renumbering
+    # rebuild with dense ids and the wires into the outputs last, in port
+    # order, then canonical renumbering
+    for p in range(len(d.cod)):
+        src = prv[(dg.OUT, p)]
+        nxt[src] = nxt.pop(src)
     remap = {old: new for new, old in enumerate(nodes)}
     packed = dg._unchecked(
         d.dom, d.cod, tuple(nodes.values()),

@@ -41,8 +41,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diagram import (BOX, CAP, CUP, IDENTITY, IN, OUT, SPIDER, SWAP,
-                      Diagram, _unchecked)
+from .diagram import BOX, IN, OUT, SWAP, Diagram, _unchecked
 from .errors import (DimensionMismatch, MissingPayload, NotHermitian,
                      NotSquare, ShapeMismatch, StateExplosion, ZeroNorm)
 
@@ -149,7 +148,8 @@ def evaluate(d: Diagram, model: Model) -> Tensor:
         except KeyError:
             raise DimensionMismatch(f"base {base!r} has no dimension") from None
 
-    # every wire starts as its own class; structural nodes merge classes
+    # every wire starts as its own class; structural nodes merge classes,
+    # only of one base, since each node fits its kind
     wire_dim = [wdim(d.src_type(sn, sp).base) for sn, sp, _, _ in d.wires]
     parent = list(range(len(d.wires)))
 
@@ -158,15 +158,6 @@ def evaluate(d: Diagram, model: Model) -> Tensor:
             parent[k] = parent[parent[k]]
             k = parent[k]
         return k
-
-    def union(i: int, a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if wire_dim[ra] != wire_dim[rb]:
-                raise DimensionMismatch(
-                    f"node {i} ({d.nodes[i].kind}) joins wires of dimension "
-                    f"{wire_dim[ra]} and {wire_dim[rb]}")
-            parent[rb] = ra
 
     node_in = [[0] * len(g.dom) for g in d.nodes]
     node_out = [[0] * len(g.cod) for g in d.nodes]
@@ -182,13 +173,11 @@ def evaluate(d: Diagram, model: Model) -> Tensor:
         if gen.kind == BOX:
             boxes.append((i, legs))
         elif gen.kind == SWAP:
-            union(i, legs[0], legs[3])
-            union(i, legs[1], legs[2])
-        elif gen.kind in (CUP, CAP, IDENTITY, SPIDER):
+            parent[find(legs[3])] = find(legs[0])
+            parent[find(legs[2])] = find(legs[1])
+        else:  # cup, cap, identity or spider
             for k in legs[1:]:
-                union(i, legs[0], k)
-        else:
-            raise ValueError(f"unknown generator kind {gen.kind!r}")
+                parent[find(k)] = find(legs[0])
 
     # one integer label per class, numbered in order of first appearance
     label_of: dict[int, int] = {}

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,9 @@ from stringcalc import tensors
 from stringcalc.cli import main
 
 DATA = Path(stringcalc.__file__).parent / "data"
+SRC = Path(stringcalc.__file__).parent.parent
+ROOT = Path(__file__).resolve().parent.parent
+EXPECTED = json.loads((ROOT / "bench" / "cli_expected.json").read_text())
 
 
 def run(capsys, *argv):
@@ -485,3 +491,19 @@ def test_outputs_are_deterministic(capsys):
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
+
+
+@pytest.mark.parametrize("case", EXPECTED,
+                         ids=[f"{k}-{case['argv'][0]}"
+                              for k, case in enumerate(EXPECTED)])
+def test_readme_commands_are_byte_identical(case):
+    """Each README command, run as a process from the repository root,
+    prints exactly the recorded stdout, exits with the recorded code and
+    writes nothing to stderr."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    got = subprocess.run([sys.executable, "-m", "stringcalc.cli",
+                          *case["argv"]],
+                         cwd=ROOT, env=env, capture_output=True, text=True)
+    assert (got.stdout, got.returncode, got.stderr) == \
+        (case["stdout"], case["exit"], "")

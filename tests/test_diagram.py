@@ -12,7 +12,7 @@ from stringcalc.cli import main
 from stringcalc.diagram import (IN, OUT, Diagram, Generator, diagram_from_json,
                                 diagram_to_json, identity)
 from stringcalc.errors import InvalidDiagram, TypeMismatch, UnknownBase, ZeroArity
-from stringcalc.rewrite import normalize
+from stringcalc.rewrite import equal, normalize
 from stringcalc.tensors import Model, double, evaluate, random_payloads
 from stringcalc.types import WireType, parse_typelist
 
@@ -76,6 +76,9 @@ def test_cup_cap_boundaries():
 def test_spider_needs_a_leg():
     with pytest.raises(ZeroArity):
         dg.spider("a", 0, 0)
+    for legs in ((-1, 3), (3, -1)):
+        with pytest.raises(ValueError, match="spider"):
+            dg.spider("a", *legs)
 
 
 def test_permutation_matches_numpy_transpose():
@@ -161,10 +164,11 @@ def test_validate_detects_bad_endpoints():
 def test_invalid_diagram_message_names_every_violation_in_order():
     f = Generator("box", (A,), (B,), name="f")
     loop = Generator("box", (A,), (A,), name="l")
-    state = Generator("box", (), (A,), name="g")
+    state = Generator("cup", (), (A,))
     args = ((A,), (A, A, B), (f, loop, state),
             ((IN, 0, 0, 0), (0, 0, OUT, 0), (0, 0, OUT, 5), (1, 0, 1, 0)))
-    message = ("TypeMismatch: wire (0, 0, -2, 0) joins b to a; "
+    message = ("BadNode: node 2: a cup cannot go from [] to [a]; "
+               "TypeMismatch: wire (0, 0, -2, 0) joins b to a; "
                "BadEndpoint: wire (0, 0, -2, 5) exceeds output boundary; "
                "PortReuse: port (0, 0) used 2 times; "
                "OpenPortUnused: boundary output 1 unused; "
@@ -179,6 +183,60 @@ def test_invalid_diagram_message_names_every_violation_in_order():
         dataclasses.replace(valid, **dict(zip(
             ("dom", "cod", "nodes", "wires"), args)))
     assert str(replaced.value) == message
+
+
+def test_list_fields_are_stored_as_tuples():
+    """A diagram built from lists composes and compares like the same
+    diagram built from tuples."""
+    for wire in ((IN, 0, OUT, 0), [IN, 0, OUT, 0]):
+        d = Diagram([A], [A], [], [wire])
+        assert [type(x) for x in (d.dom, d.cod, d.nodes, d.wires, d.wires[0])] \
+            == [tuple] * 5
+        assert d >> identity((A,)) == identity((A,))
+        assert equal(d, identity((A,)))
+    # a node's types given as a list are checked against its kind alike
+    spider = Generator("spider", [A], (A,))
+    d = Diagram((A,), (A,), (spider,), ((IN, 0, 0, 0), (0, 0, OUT, 0)))
+    assert d == dg.spider("a", 1, 1)
+
+
+@pytest.mark.parametrize("gen", [
+    Generator("cup", (A,), (A.l, A)),
+    Generator("cup", (), (B, B)),
+    Generator("cap", (A, B), ()),
+    Generator("swap", (A, B), (A, B)),
+    Generator("id", (A,), (B,)),
+    Generator("spider", (A,), (B,)),
+    Generator("spider", (), ()),
+    Generator("bogus", (A,), (A,)),
+], ids=["cup-with-input", "cup-of-equal-types", "cap-of-two-bases",
+        "swap-not-exchanging", "id-changing-type", "spider-of-two-bases",
+        "spider-without-legs", "unknown-kind"])
+def test_a_node_that_does_not_fit_its_kind_cannot_be_built(gen):
+    """Node 1 of a diagram that wires it to the boundary; a box fits any
+    types, so only the other kinds can misfit."""
+    scalar = Generator("box", (), (), name="k")
+    wires = (tuple((IN, p, 1, p) for p in range(len(gen.dom)))
+             + tuple((1, p, OUT, p) for p in range(len(gen.cod))))
+    match = r"(^|; )BadNode: node 1( has unknown kind 'bogus'|: a \w+ cannot)"
+    with pytest.raises(InvalidDiagram, match=match):
+        Diagram(gen.dom, gen.cod, (scalar, gen), wires)
+    box = Generator("box", gen.dom, gen.cod, name="b")
+    d = Diagram(gen.dom, gen.cod, (scalar, box), wires)
+    with pytest.raises(InvalidDiagram, match=match):
+        dataclasses.replace(d, nodes=(scalar, gen))
+
+
+def test_a_snake_of_misfit_cup_and_cap_cannot_be_built():
+    """A cup on ``b b`` and a cap on ``a b``, wired as a snake, would yank
+    into one wire from ``a`` to ``b``."""
+    cup, cap = Generator("cup", (), (B, B)), Generator("cap", (A, B), ())
+    with pytest.raises(InvalidDiagram) as built:
+        Diagram((A,), (B,), (cup, cap),
+                ((IN, 0, 1, 0), (0, 0, 1, 1), (0, 1, OUT, 0)))
+    assert str(built.value) == ("BadNode: node 0: a cup cannot go from [] to "
+                                "[b b]; BadNode: node 1: a cap cannot go from "
+                                "[a b] to []")
 
 
 def test_validate_reports_every_missing_endpoint_without_raising():
@@ -265,9 +323,9 @@ def test_wire_order_is_not_observable():
     shuffled = 0
     for k in range(300):
         d = random_diagram(rng, max_width=4)
-        e = dataclasses.replace(d, wires=tuple(
-            d.wires[i] for i in rng.permutation(len(d.wires))))
-        shuffled += e.wires != d.wires
+        wires = tuple(d.wires[i] for i in rng.permutation(len(d.wires)))
+        shuffled += wires != d.wires
+        e = dataclasses.replace(d, wires=wires)
         model = random_payloads(Model(dims={"a": 2, "b": 2}), (d,), seed=k)
         for doubling in ("thin", "thick"):
             m = dataclasses.replace(model, doubling=doubling)
@@ -356,12 +414,17 @@ def _reference_compose_par(f, g):
 
 
 def _reordered(rng, d):
-    """*d* as built, with its wires shuffled, or in canonical order."""
+    """*d* as built, rebuilt from its wires shuffled, or in canonical
+    order; and its wires in the order it was given them (for the
+    canonical form, sorted)."""
     how = rng.integers(3)
     if how == 1:
-        return dataclasses.replace(d, wires=tuple(
-            d.wires[i] for i in rng.permutation(len(d.wires))))
-    return d.canonical() if how == 2 else d
+        wires = tuple(d.wires[i] for i in rng.permutation(len(d.wires)))
+        return dataclasses.replace(d, wires=wires), wires
+    if how == 2:
+        c = d.canonical()
+        return c, tuple(sorted(c.wires))
+    return d, d.wires
 
 
 def _into(rng, types, tag):
@@ -376,17 +439,19 @@ def _into(rng, types, tag):
     return random_morphism(rng, types, cod, tag)
 
 
-def _outputs_last(d):
-    """Whether *d* lists the wires into its outputs last, in port order."""
-    tail = d.wires[len(d.wires) - len(d.cod):]
-    return [w[2:] for w in tail] == [(OUT, p) for p in range(len(d.cod))]
+def _outputs_last(cod, wires):
+    """Whether *wires* list those into the *cod* outputs last, in port
+    order."""
+    tail = wires[len(wires) - len(cod):]
+    return [w[2:] for w in tail] == [(OUT, p) for p in range(len(cod))]
 
 
 def test_composition_matches_the_reference():
     """Seeded pairs of random and constructed diagrams, as built,
     shuffled or canonical, compose to what the previous composition
     gave, with the outputs' wires last, and the result passes the check
-    that its construction skipped."""
+    that its construction skipped.  Every operand is stored with the
+    outputs' wires last, whatever order it was given them in."""
     rng = np.random.default_rng(2024)
     reordered = 0
     for k in range(400):
@@ -403,13 +468,15 @@ def test_composition_matches_the_reference():
         if rng.random() < 0.2:
             f = dataclasses.replace(f, doubled=True)
             g = dataclasses.replace(g, doubled=True)
-        f, g = _reordered(rng, f), _reordered(rng, g)
-        reordered += not (_outputs_last(f) and _outputs_last(g))
+        (f, f_given), (g, g_given) = _reordered(rng, f), _reordered(rng, g)
+        reordered += not (_outputs_last(f.cod, f_given)
+                          and _outputs_last(g.cod, g_given))
+        assert _outputs_last(f.cod, f.wires) and _outputs_last(g.cod, g.wires)
         got, want = compose(f, g), reference(f, g)
         assert (got.dom, got.cod, got.doubled, got.nodes) == \
             (want.dom, want.cod, want.doubled, want.nodes)
         assert sorted(got.wires) == sorted(want.wires)
-        assert _outputs_last(got)
+        assert _outputs_last(got.cod, got.wires)
         assert dataclasses.replace(got) == got  # rebuilt through the check
     assert reordered > 150
 
@@ -457,7 +524,7 @@ def test_a_diagram_is_validated_once(monkeypatch):
 
     def counting(d):
         calls.append(d)
-        real(d)
+        return real(d)
 
     monkeypatch.setattr(dg, "_check", counting)
     snake = (identity((A,)) @ dg.cup("a")) >> (dg.cap("a") @ identity((A,)))

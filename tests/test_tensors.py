@@ -12,9 +12,9 @@ import stringcalc
 from stringcalc import diagram as dg
 from stringcalc import tensors
 from stringcalc.diagram import identity
-from stringcalc.errors import (DimensionMismatch, MissingPayload, NotHermitian,
-                               NotSquare, ShapeMismatch, StateExplosion,
-                               ZeroNorm)
+from stringcalc.errors import (DimensionMismatch, InvalidDiagram,
+                               MissingPayload, NotHermitian, NotSquare,
+                               ShapeMismatch, StateExplosion, ZeroNorm)
 from stringcalc.pregroup import grammar_diagram, lexicon_from_json, parse
 from stringcalc.tensors import (Model, Payload, Tensor, as_density_matrix,
                                 double, double_array, entropy, evaluate,
@@ -112,13 +112,13 @@ def test_missing_payload_and_dimension_errors():
 
 
 def test_structural_node_joining_unequal_dimensions_raises():
-    # a hand-built swap that does not exchange its types aliases a to b
+    # a hand-built swap that does not exchange its types would alias a to
+    # b; it does not fit its kind, so it cannot be built
     gen = dg.Generator(dg.SWAP, (A, B), (A, B))
     IN, OUT = dg.IN, dg.OUT
-    d = dg.Diagram((A, B), (A, B), (gen,),
+    with pytest.raises(InvalidDiagram, match="BadNode: node 0: a swap"):
+        dg.Diagram((A, B), (A, B), (gen,),
                    ((IN, 0, 0, 0), (IN, 1, 0, 1), (0, 0, OUT, 0), (0, 1, OUT, 1)))
-    with pytest.raises(DimensionMismatch):
-        evaluate(d, Model(dims={"a": 2, "b": 3}))
 
 
 # -- wires as labels: structural generators alias, never materialize ---------

@@ -17,7 +17,9 @@ Every ``Diagram`` is valid: building one (``Diagram(...)`` or
 ``dataclasses.replace``) establishes these invariants in one pass, or
 raises ``InvalidDiagram`` naming every violation:
 
-* ``dom``, ``cod``, ``nodes`` and ``wires`` are tuples;
+* ``dom``, ``cod``, ``nodes`` and ``wires`` are tuples, and so are each
+  node's ``dom`` and ``cod``;
+* each wire is four integers;
 * each node fits its kind: a cup is ``[] -> [t.l, t]``, a cap
   ``[t, t.l] -> []``, a swap ``[u, v] -> [v, u]``, an identity
   ``[t] -> [t]``, a spider's legs share one base, and a box is any arrow;
@@ -30,12 +32,17 @@ raises ``InvalidDiagram`` naming every violation:
 
 So no operation checks its input.  What a rule that keeps the invariants
 builds from valid diagrams (the constructors here, ``>>``, ``@``, the
-canonical and normal forms and the double) skips the check.
+canonical and normal forms and the double) skips the check.  So does a
+sentence's ``pregroup.grammar_diagram``: its word states are valid and
+have no inputs, and links that pass the reduction check join distinct
+outputs of that row, each to its left adjoint, so its caps are a valid
+wiring.  Its word states are built once per lexicon, so the structural
+ones (cups and spiders, built through the check) are checked once each.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import (InvalidDiagram, TypeMismatch, ZeroArity, require,
@@ -100,8 +107,8 @@ class Diagram:
 
     def __post_init__(self) -> None:
         self.__dict__.update(dom=tuple(self.dom), cod=tuple(self.cod),
-                             nodes=tuple(self.nodes))
-        self.__dict__["wires"] = _check(self)
+                             wires=tuple(self.wires))
+        self.__dict__["nodes"], self.__dict__["wires"] = _check(self)
 
     # -- composition ---------------------------------------------------
 
@@ -324,12 +331,15 @@ _FITS = {
 }
 
 
-def _check(d: Diagram) -> tuple[Wire, ...]:
-    """*d*'s wires to store: tuples, those into the boundary outputs last
+def _check(d: Diagram) -> tuple[tuple[Generator, ...], tuple[Wire, ...]]:
+    """*d*'s nodes and wires to store: each node's ``dom`` and ``cod`` as
+    tuples, and the wires as tuples, those into the boundary outputs last
     in port order.  Else raise ``InvalidDiagram`` naming every violation,
     each as ``kind: detail``, joined by ``; `` in this order:
 
     * ``BadNode``: a node's kind is unknown, or its types do not fit it;
+    * ``BadWire``: a wire is not four integers (then the wiring is not
+      checked further);
     * ``BadEndpoint``: a wire end names a node that does not exist, or a
       port that is negative or past the end of that node's (or the
       boundary's) port list;
@@ -340,14 +350,26 @@ def _check(d: Diagram) -> tuple[Wire, ...]:
     * ``Cycle``: the wires between nodes form a directed cycle.
     """
     found: list[str] = []
-    for i, gen in enumerate(d.nodes):
+    nodes = list(d.nodes)
+    for i, gen in enumerate(nodes):
+        if type(gen.dom) is not tuple or type(gen.cod) is not tuple:
+            gen = nodes[i] = replace(gen, dom=tuple(gen.dom),
+                                     cod=tuple(gen.cod))
         if gen.kind not in _FITS:
             found.append(f"BadNode: node {i} has unknown kind {gen.kind!r}")
-        elif not _FITS[gen.kind](tuple(gen.dom), tuple(gen.cod)):
+        elif not _FITS[gen.kind](gen.dom, gen.cod):
             found.append(
                 f"BadNode: node {i}: a {gen.kind} cannot go from "
                 f"[{typelist_str(gen.dom)}] to [{typelist_str(gen.cod)}]")
-    n = len(d.nodes)
+    # in bulk, as the JSON loader checks its edges, so valid wires cost
+    # two set comprehensions
+    if {len(w) if type(w) in (tuple, list) else 0 for w in d.wires} - {4} \
+            or {type(x) for w in d.wires for x in w} - {int}:
+        found += [f"BadWire: wire {w!r} is not four integers"
+                  for w in d.wires if type(w) not in (tuple, list)
+                  or len(w) != 4 or {type(x) for x in w} - {int}]
+        raise InvalidDiagram("; ".join(found))
+    n = len(nodes)
     src_seen: dict[tuple[int, int], int] = {}
     dst_seen: dict[tuple[int, int], int] = {}
     succ: list[set[int]] = [set() for _ in range(n)]
@@ -361,8 +383,8 @@ def _check(d: Diagram) -> tuple[Wire, ...]:
             out[dp] = w
         else:
             inner.append(w)
-        src = d.dom if sn == IN else d.nodes[sn].cod if 0 <= sn < n else ()
-        dst = d.cod if dn == OUT else d.nodes[dn].dom if 0 <= dn < n else ()
+        src = d.dom if sn == IN else nodes[sn].cod if 0 <= sn < n else ()
+        dst = d.cod if dn == OUT else nodes[dn].dom if 0 <= dn < n else ()
         if not 0 <= sp < len(src):
             where = "exceeds input boundary" if sn == IN else "has no source port"
             found.append(f"BadEndpoint: wire {w} {where}")
@@ -383,7 +405,7 @@ def _check(d: Diagram) -> tuple[Wire, ...]:
     for k in range(len(d.cod)):
         if (OUT, k) not in dst_seen:
             found.append(f"OpenPortUnused: boundary output {k} unused")
-    for i, gen in enumerate(d.nodes):
+    for i, gen in enumerate(nodes):
         for p in range(len(gen.dom)):
             if (i, p) not in dst_seen:
                 found.append(f"PortUnused: input port ({i}, {p}) unused")
@@ -406,7 +428,7 @@ def _check(d: Diagram) -> tuple[Wire, ...]:
     if found:
         raise InvalidDiagram("; ".join(found))
     # valid: exactly one wire into each output
-    return tuple(inner) + tuple(out[p] for p in range(len(d.cod)))
+    return tuple(nodes), tuple(inner) + tuple(out[p] for p in range(len(d.cod)))
 
 
 # -- canonical ordering --------------------------------------------------

@@ -56,12 +56,19 @@ class LexEntry:
     payload: str | None  # payload ref; None for a copula or relative pronoun
     kind: str  # "pure" | "mixed" | "structural:<builder>"
 
+    def __post_init__(self) -> None:
+        # a tuple, so the entry can key its lexicon's word states
+        object.__setattr__(self, "type", tuple(self.type))
+
 
 @dataclass(frozen=True)
 class PregroupLexicon:
     bases: dict[str, int]  # base -> dimension
     entries: dict[str, tuple[LexEntry, ...]]
     payloads: dict[str, Payload] = field(default_factory=dict)
+    # each entry's word state, built on its first use by :func:`word_state`
+    _states: dict[LexEntry, Diagram] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def lookup(self, word: str) -> tuple[LexEntry, ...]:
         if word not in self.entries:
@@ -258,10 +265,14 @@ def grammar_diagram(words: list[str], witness: ParseWitness,
                     lexicon: PregroupLexicon) -> Diagram:
     """One port graph: word states side by side, a cap on each link's pair.
 
-    Open outputs are exactly the residual wires of the witness.
+    Open outputs are exactly the residual wires of the witness.  Links
+    that pass :func:`_link_partners` join distinct ports of the row, each
+    to its left adjoint, and states have no inputs and caps no outputs,
+    so the wiring is valid and is built without the diagram check.
     """
     nodes: list[Generator] = []
     wires: list[tuple[int, int, int, int]] = []
+    outs: list[tuple[int, int, int, int]] = []
     row: list[WireType] = []
     feeds: list[tuple[int, int]] = []  # row output -> (node, port) feeding it
     for pos, word in enumerate(words):
@@ -279,12 +290,13 @@ def grammar_diagram(words: list[str], witness: ParseWitness,
     for k, (sn, sp) in enumerate(feeds):
         j = partner.get(k)
         if j is None:
-            wires.append((sn, sp, OUT, len(cod)))
+            outs.append((sn, sp, OUT, len(cod)))
             cod.append(row[k])
         elif j > k:
             wires += [(sn, sp, len(nodes), 0), (*feeds[j], len(nodes), 1)]
             nodes.append(Generator(CAP, (row[k], row[j]), ()))
-    return Diagram((), cod, nodes, wires)
+    # the wires into the outputs come last, in port order
+    return dg._unchecked((), tuple(cod), tuple(nodes), tuple(wires + outs))
 
 
 def _link_partners(flat, links) -> dict[int, int]:
@@ -309,10 +321,21 @@ def _link_partners(flat, links) -> dict[int, int]:
 
 
 def word_state(entry: LexEntry, lexicon: PregroupLexicon) -> Diagram:
-    """The state diagram for one lexicon entry: one box, or wiring."""
+    """The state diagram for one lexicon entry: one box, or wiring.
+
+    Built once per entry of *lexicon*; an entry whose payload is missing
+    raises ``MissingPayload`` at every call and is never kept.
+    """
     if entry.kind in ("pure", "mixed", "structural:negation") and \
             entry.payload not in lexicon.payloads:
         raise MissingPayload(f"word {entry.word!r} payload {entry.payload!r}")
+    state = lexicon._states.get(entry)
+    if state is None:
+        state = lexicon._states[entry] = _word_state(entry)
+    return state
+
+
+def _word_state(entry: LexEntry) -> Diagram:
     if entry.kind in ("pure", "mixed"):
         return dg.make_generator(entry.word, (), entry.type,
                                  payload=entry.payload)

@@ -499,11 +499,13 @@ def test_outputs_are_deterministic(capsys):
 def test_readme_commands_are_byte_identical(case):
     """Each README command, run as a process from the repository root,
     prints exactly the recorded stdout, exits with the recorded code and
-    writes nothing to stderr."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    got = subprocess.run([sys.executable, "-m", "stringcalc.cli",
-                          *case["argv"]],
-                         cwd=ROOT, env=env, capture_output=True, text=True)
-    assert (got.stdout, got.returncode, got.stderr) == \
-        (case["stdout"], case["exit"], "")
+    writes nothing to stderr, under two string hash seeds."""
+    path = os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)
+        got = subprocess.run([sys.executable, "-m", "stringcalc.cli",
+                              *case["argv"]], cwd=ROOT, env=env,
+                             capture_output=True, text=True)
+        assert (got.stdout, got.returncode, got.stderr) == \
+            (case["stdout"], case["exit"], ""), seed

@@ -194,10 +194,23 @@ def test_list_fields_are_stored_as_tuples():
             == [tuple] * 5
         assert d >> identity((A,)) == identity((A,))
         assert equal(d, identity((A,)))
-    # a node's types given as a list are checked against its kind alike
+    # a node's types given as a list are checked against its kind alike,
+    # and stored as tuples, so the diagram round-trips through JSON
     spider = Generator("spider", [A], (A,))
     d = Diagram((A,), (A,), (spider,), ((IN, 0, 0, 0), (0, 0, OUT, 0)))
     assert d == dg.spider("a", 1, 1)
+    assert d.nodes == (Generator("spider", (A,), (A,)),)
+    assert diagram_from_json(json.loads(json.dumps(diagram_to_json(d)))) == d
+
+
+@pytest.mark.parametrize("wire", [
+    (IN, 0, OUT), (IN, 0.0, OUT, 0), (IN, 0, OUT, 0, 0), (IN, True, OUT, 0),
+    (IN, "0", OUT, 0), "abcd", 5, None,
+], ids=["three", "float", "five", "bool", "str-port", "str", "int", "none"])
+def test_a_wire_that_is_not_four_integers_cannot_be_built(wire):
+    with pytest.raises(InvalidDiagram) as built:
+        Diagram((A,), (A,), (), ((IN, 0, OUT, 0), wire))
+    assert str(built.value) == f"BadWire: wire {wire!r} is not four integers"
 
 
 @pytest.mark.parametrize("gen", [

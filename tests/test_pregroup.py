@@ -1,19 +1,25 @@
 import dataclasses
 from itertools import islice, product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import oracle_linksets
 
+from stringcalc import diagram as dg
 from stringcalc import pregroup
-from stringcalc.diagram import BOX, SWAP
-from stringcalc.errors import TypeMismatch, UnknownBase, UnknownWord
-from stringcalc.pregroup import (grammar_diagram, lexicon_from_json, parse,
-                                 residual_report, word_state)
-from stringcalc.tensors import double_array, entropy, evaluate
+from stringcalc.diagram import BOX, SWAP, Diagram
+from stringcalc.errors import (MissingPayload, TypeMismatch, UnknownBase,
+                               UnknownWord)
+from stringcalc.pregroup import (grammar_diagram, lexicon_from_json,
+                                 load_lexicon, parse, residual_report,
+                                 word_state)
+from stringcalc.tensors import (Payload, Tensor, double_array, entropy,
+                                evaluate)
 from stringcalc.types import WireType, parse_typelist, typelist_str
 
+LANGUAGE = Path(pregroup.__file__).parent / "data" / "language.json"
 DATA = {
     "bases": {"n": 2, "s": 2},
     "words": [
@@ -466,6 +472,107 @@ def test_long_sentence_parses_without_recursion_limit():
     (witness,) = parse(lexicon, ["big"] * 1200 + ["Alice", "sleeps"])
     assert witness.links == {(2 * k, 2 * k + 1) for k in range(1201)}
     assert witness.residual == (2402,)
+
+
+def _with_payloads(lexicon):
+    """*lexicon* with a payload for every entry, so each word has a state."""
+    entries = {w: tuple(dataclasses.replace(e, payload=f"{w}:{k}")
+                        for k, e in enumerate(es))
+               for w, es in lexicon.entries.items()}
+    payloads = {}
+    for es in entries.values():
+        for e in es:
+            shape = tuple(lexicon.bases[t.base] for t in e.type)
+            payloads[e.payload] = Payload(Tensor(shape, np.ones(shape, complex)))
+    return dataclasses.replace(lexicon, entries=entries, payloads=payloads)
+
+
+def _assert_as_if_checked(d):
+    """Rebuilt through the checking constructor, *d* keeps each field:
+    the same tuples of the same types, nodes and wires in the same order."""
+    checked = Diagram(d.dom, d.cod, d.nodes, d.wires)
+    fields = (d.dom, d.cod, d.nodes, d.wires)
+    assert (checked.dom, checked.cod, checked.nodes, checked.wires) == fields
+    assert all(type(x) is tuple for x in fields + d.wires)
+
+
+def test_unchecked_grammar_diagrams_pass_the_check():
+    """Every witness's diagram and every kept word state, of random
+    lexicons and of the shipped one with its structural entries, is what
+    the checking constructor would store."""
+    rng = np.random.default_rng(23)
+    built = 0
+    for trial in range(200):
+        lexicon = _with_payloads(_random_lexicon(rng))
+        words = [f"w{int(rng.integers(0, 4))}"
+                 for _ in range(int(rng.integers(1, 6)))]
+        report = residual_report(lexicon, words)
+        target = parse_typelist(report[int(rng.integers(0, len(report)))][1])
+        for witness in parse(lexicon, words, target):
+            _assert_as_if_checked(grammar_diagram(words, witness, lexicon))
+            built += 1
+        for state in lexicon._states.values():
+            _assert_as_if_checked(state)
+    assert built > 200
+    lexicon = load_lexicon(LANGUAGE)
+    for sentence, target in [
+            ("queen who does not like Bob does not like Alice who rocks", "s"),
+            ("Alice does not like Bob", "s"), ("queen who rocks", "n"),
+            ("Alice hates Bob", "s")]:
+        words = sentence.split()
+        for witness in parse(lexicon, words, target):
+            _assert_as_if_checked(grammar_diagram(words, witness, lexicon))
+    assert {e.word for e in lexicon._states} >= {"does", "not", "who"}
+    for state in lexicon._states.values():
+        _assert_as_if_checked(state)
+
+
+def test_word_states_are_checked_once_per_lexicon(monkeypatch):
+    """Only the structural states are built through the check, each once
+    per lexicon, however often the sentences repeat them."""
+    calls = []
+    real = dg._check
+
+    def counting(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(dg, "_check", counting)
+    lexicon = load_lexicon(LANGUAGE)
+    words = "queen who does not like Bob does not like Alice who rocks".split()
+    (witness,) = parse(lexicon, words)
+    first = grammar_diagram(words, witness, lexicon)
+    assert len(calls) == 3  # does, not and who
+    assert grammar_diagram(words, witness, lexicon) == first
+    assert len(calls) == 3
+
+
+def test_word_state_cache_is_not_part_of_the_lexicon():
+    data = {"bases": {"n": 2, "s": 2}, "words": [
+        {"word": "does", "type": "n.L s s.R n", "payload": "structural:copula"}]}
+    lexicon, fresh = lexicon_from_json(data), lexicon_from_json(data)
+    before = repr(lexicon)
+    state = word_state(lexicon.lookup("does")[0], lexicon)
+    assert word_state(lexicon.lookup("does")[0], lexicon) is state
+    assert lexicon == fresh and repr(lexicon) == before == repr(fresh)
+    with pytest.raises(TypeError):
+        pregroup.PregroupLexicon(lexicon.bases, lexicon.entries, {}, {})
+
+
+def test_an_entry_typed_by_a_list_has_a_state(lex):
+    (entry,) = lex.lookup("sleeps")
+    listed = pregroup.LexEntry(entry.word, list(entry.type), entry.payload,
+                               entry.kind)
+    assert listed == entry
+    assert word_state(listed, lex) is word_state(entry, lex)
+
+
+def test_missing_payload_raises_at_every_call(lex):
+    entry = dataclasses.replace(lex.lookup("Alice")[0], payload="nowhere")
+    for _ in range(2):
+        with pytest.raises(MissingPayload):
+            word_state(entry, lex)
+    assert entry not in lex._states
 
 
 @pytest.mark.parametrize("data", [

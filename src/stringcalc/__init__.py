@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 # exported name -> the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys(
-        ("Diagram", "Generator", "box", "cap", "cup", "identity",
+        ("Diagram", "Generator", "cap", "cup", "identity",
          "make_generator", "permutation", "spider", "swap",
          "compose_seq", "compose_par"), "diagram"),
     **dict.fromkeys(("NormalForm", "normalize", "equal"), "rewrite"),

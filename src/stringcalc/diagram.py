@@ -19,6 +19,8 @@ raises ``InvalidDiagram`` naming every violation:
 
 * ``dom``, ``cod``, ``nodes`` and ``wires`` are tuples, and so are each
   node's ``dom`` and ``cod``;
+* every type is a ``WireType``, and each node's ``name`` is a string and
+  its ``payload`` a string or ``None``;
 * each wire is four integers;
 * each node fits its kind: a cup is ``[] -> [t.l, t]``, a cap
   ``[t, t.l] -> []``, a swap ``[u, v] -> [v, u]``, an identity
@@ -53,7 +55,7 @@ from .types import (TypeList, WireType, check_declared, parse_wiretype,
 __all__ = [
     "BOX", "CUP", "CAP", "SWAP", "SPIDER", "IDENTITY",
     "Generator", "Diagram",
-    "identity", "identity_node", "make_generator", "box",
+    "identity", "identity_node", "make_generator",
     "cup", "cap", "swap", "spider", "permutation",
     "compose_seq", "compose_par",
     "diagram_to_json", "diagram_from_json",
@@ -138,13 +140,7 @@ class Diagram:
     @cached_property
     def canonical_key(self) -> tuple:
         c = self.canonical()
-        return (
-            tuple(str(t) for t in self.dom),
-            tuple(str(t) for t in self.cod),
-            tuple(g.signature() for g in c.nodes),
-            c.wires,
-            self.doubled,
-        )
+        return (self.dom, self.cod, c.nodes, c.wires, self.doubled)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Diagram):
@@ -206,9 +202,6 @@ def make_generator(name: str, dom: TypeList, cod: TypeList,
         raise ValueError("generator name must be nonempty")
     return _one_node(Generator(BOX, tuple(dom), tuple(cod), name=name,
                                payload=payload))
-
-
-box = make_generator
 
 
 def cup(base: str, z: int = 0) -> Diagram:
@@ -337,6 +330,9 @@ def _check(d: Diagram) -> tuple[tuple[Generator, ...], tuple[Wire, ...]]:
     in port order.  Else raise ``InvalidDiagram`` naming every violation,
     each as ``kind: detail``, joined by ``; `` in this order:
 
+    * ``BadField``: a type is not a ``WireType``, or a node's ``name`` is
+      not a string or its ``payload`` neither ``None`` nor a string (then
+      nothing else is checked);
     * ``BadNode``: a node's kind is unknown, or its types do not fit it;
     * ``BadWire``: a wire is not four integers (then the wiring is not
       checked further);
@@ -349,20 +345,23 @@ def _check(d: Diagram) -> tuple[tuple[Generator, ...], tuple[Wire, ...]]:
     * ``PortUnused``: a node port is the end of no wire;
     * ``Cycle``: the wires between nodes form a directed cycle.
     """
+    nodes = [gen if type(gen.dom) is tuple and type(gen.cod) is tuple
+             else replace(gen, dom=tuple(gen.dom), cod=tuple(gen.cod))
+             for gen in d.nodes]
+    # in bulk, as the JSON loader checks its edges, so valid fields and
+    # wires cost a few set comprehensions; every later check reads types
+    if {type(t) for g in (d, *nodes) for t in g.dom + g.cod} - {WireType} \
+            or {type(g.name) for g in nodes} - {str} \
+            or {type(g.payload) for g in nodes} - {str, type(None)}:
+        raise InvalidDiagram("; ".join(_bad_fields(d, nodes)))
     found: list[str] = []
-    nodes = list(d.nodes)
     for i, gen in enumerate(nodes):
-        if type(gen.dom) is not tuple or type(gen.cod) is not tuple:
-            gen = nodes[i] = replace(gen, dom=tuple(gen.dom),
-                                     cod=tuple(gen.cod))
         if gen.kind not in _FITS:
             found.append(f"BadNode: node {i} has unknown kind {gen.kind!r}")
         elif not _FITS[gen.kind](gen.dom, gen.cod):
             found.append(
                 f"BadNode: node {i}: a {gen.kind} cannot go from "
                 f"[{typelist_str(gen.dom)}] to [{typelist_str(gen.cod)}]")
-    # in bulk, as the JSON loader checks its edges, so valid wires cost
-    # two set comprehensions
     if {len(w) if type(w) in (tuple, list) else 0 for w in d.wires} - {4} \
             or {type(x) for w in d.wires for x in w} - {int}:
         found += [f"BadWire: wire {w!r} is not four integers"
@@ -429,6 +428,24 @@ def _check(d: Diagram) -> tuple[tuple[Generator, ...], tuple[Wire, ...]]:
         raise InvalidDiagram("; ".join(found))
     # valid: exactly one wire into each output
     return tuple(nodes), tuple(inner) + tuple(out[p] for p in range(len(d.cod)))
+
+
+def _bad_fields(d: Diagram, nodes: list[Generator]) -> list[str]:
+    """A ``BadField`` violation for each type that is not a ``WireType``,
+    and each node ``name`` or ``payload`` that is not a string."""
+    found = []
+    for i, g in enumerate((d, *nodes), -1):  # the diagram's own types first
+        where = f"node {i} " if i >= 0 else ""
+        found += [f"BadField: {where}field {key!r} holds {t!r}, not a WireType"
+                  for key in ("dom", "cod") for t in getattr(g, key)
+                  if type(t) is not WireType]
+        if i >= 0 and type(g.name) is not str:
+            found.append(f"BadField: {where}field 'name' holds {g.name!r}, "
+                         "not a string")
+        if i >= 0 and type(g.payload) not in (str, type(None)):
+            found.append(f"BadField: {where}field 'payload' holds "
+                         f"{g.payload!r}, not a string or None")
+    return found
 
 
 # -- canonical ordering --------------------------------------------------
@@ -549,15 +566,13 @@ def diagram_from_json(data: dict) -> Diagram:
                          "integers")
     nodes = []
     for entry in sorted(entries, key=lambda e: e["id"]):
-        payload = entry.get("payload")
-        if payload is not None:  # absent or null: no payload
-            require(entry, "payload", str, "diagram node")
+        # the Diagram constructor checks the name and payload
         nodes.append(Generator(
             kind=require(entry, "kind", str, "diagram node"),
             dom=types(entry, "dom", "diagram node"),
             cod=types(entry, "cod", "diagram node"),
-            name=require(entry, "name", str, "diagram node", ""),
-            payload=payload,
+            name=entry.get("name", ""),
+            payload=entry.get("payload"),
         ))
     dom = types(data, "inputs", "diagram", [])
     cod = types(data, "outputs", "diagram", [])

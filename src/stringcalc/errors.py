@@ -53,9 +53,8 @@ class ZeroArity(StringCalcError):
 
 
 class InvalidDiagram(StringCalcError):
-    """A diagram being built breaks a port-graph invariant: a node that
-    does not fit its kind, a wire that is not four integers, or wiring
-    that is not one acyclic port graph."""
+    """A diagram being built breaks an invariant that
+    :mod:`stringcalc.diagram` lists."""
 
 
 class ShapeMismatch(StringCalcError):

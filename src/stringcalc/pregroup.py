@@ -430,7 +430,7 @@ def lexicon_from_json(data: dict) -> PregroupLexicon:
                 # "data" is the conventional left-acting matrix; box payloads
                 # are indexed [input, output], hence the transpose
                 matrix = _tensor_from_data(raw, where, shape)
-                payloads[ref] = Payload(Tensor(shape, matrix.data.T), "pure")
+                payloads[ref] = Payload(Tensor(matrix.data.T), "pure")
             entry = LexEntry(word, wtype, ref if ref in payloads else None,
                              payload_kind)
         else:
@@ -482,7 +482,7 @@ def _tensor_from_data(raw: dict, where: str, shape: tuple[int, ...]) -> Tensor:
     if flat.size != expected:
         raise ValueError(f"payload has {flat.size} entries, shape {shape} "
                          f"needs {expected}")
-    return Tensor(shape, flat.reshape(shape))
+    return Tensor(flat.reshape(shape))
 
 
 def _holds_bool(data: list) -> bool:

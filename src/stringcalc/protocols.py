@@ -64,14 +64,13 @@ def clock_shift_unitary(dim: int, branch: int) -> np.ndarray:
 def teleportation_model(dim: int) -> Model:
     """Dimension table and payloads for every branch of one dimension."""
     payloads = {
-        "bell_norm": Payload(Tensor((), np.array(1.0 + 0.0j),
+        "bell_norm": Payload(Tensor(np.array(1.0 + 0.0j),
                                     scalar=1.0 / np.sqrt(dim))),
     }
     for b in range(dim * dim):
         u = clock_shift_unitary(dim, b)
-        payloads[f"pauli:{b}"] = Payload(Tensor.from_array(u))
-        payloads[f"pauli_inv:{b}"] = Payload(
-            Tensor.from_array(np.linalg.inv(u)))
+        payloads[f"pauli:{b}"] = Payload(Tensor(u))
+        payloads[f"pauli_inv:{b}"] = Payload(Tensor(np.linalg.inv(u)))
     return Model(dims={BASE: dim}, payloads=payloads)
 
 
@@ -177,13 +176,13 @@ def sophisticated_model(dim: int) -> Model:
                               + 1j * rng.standard_normal((dim, dim)))
     merge = rng.standard_normal((dim,) * 4) + 1j * rng.standard_normal((dim,) * 4)
     payloads = {
-        "rho": Payload(Tensor.from_array(state())),
-        "rho2": Payload(Tensor.from_array(state())),
-        "rho3": Payload(Tensor.from_array(state())),
-        "grey_unitary": Payload(Tensor.from_array(unitary)),
-        "merge3": Payload(Tensor.from_array(merge)),
-        "w1": Payload(Tensor.from_array(state())),
-        "w2": Payload(Tensor.from_array(state())),
+        "rho": Payload(Tensor(state())),
+        "rho2": Payload(Tensor(state())),
+        "rho3": Payload(Tensor(state())),
+        "grey_unitary": Payload(Tensor(unitary)),
+        "merge3": Payload(Tensor(merge)),
+        "w1": Payload(Tensor(state())),
+        "w2": Payload(Tensor(state())),
     }
     return Model(dims={BASE: dim}, payloads=payloads)
 

@@ -69,11 +69,8 @@ def normalize(d: Diagram) -> NormalForm:
                     heapq.heappush(heap, n)
         trace.append((rule, removed))
 
-    # rebuild with dense ids and the wires into the outputs last, in port
-    # order, then canonical renumbering
-    for p in range(len(d.cod)):
-        src = prv[(dg.OUT, p)]
-        nxt[src] = nxt.pop(src)
+    # rebuild with dense ids; only the canonical form is kept, and it
+    # sorts the wires, those into the outputs last
     remap = {old: new for new, old in enumerate(nodes)}
     packed = dg._unchecked(
         d.dom, d.cod, tuple(nodes.values()),

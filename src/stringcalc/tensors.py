@@ -57,29 +57,36 @@ __all__ = [
 MAX_ELEMENTS = 1 << 26
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tensor:
     """A dense complex multi-array with an explicit scalar factor.
 
     ``thick`` marks every axis as a thick wire, a ket index paired with
-    its bra index; only :func:`evaluate` sets it.
+    its bra index; only :func:`evaluate` sets it.  Its shape is its
+    array's, and tensors are equal when their arrays, scalars and marks are:
+
+    >>> t = Tensor(np.array([1, 1j]))
+    >>> t.shape, t == Tensor([1, 1j]), t == Tensor([1, 1j], scalar=2)
+    ((2,), True, False)
     """
 
-    shape: tuple[int, ...]
     data: np.ndarray
     scalar: complex = 1.0 + 0.0j
     thick: bool = False
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=complex).reshape(self.shape)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", np.asarray(self.data, dtype=complex))
         if self.scalar != self.scalar:  # NaN guard
             raise ValueError("scalar must not be NaN")
 
-    @classmethod
-    def from_array(cls, array, scalar: complex = 1.0 + 0.0j) -> "Tensor":
-        arr = np.asarray(array, dtype=complex)
-        return cls(arr.shape, arr, scalar)
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Tensor) and self.scalar == other.scalar
+                and self.thick == other.thick
+                and np.array_equal(self.data, other.data))
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.data.shape
 
     def to_array(self) -> np.ndarray:
         return self.scalar * self.data
@@ -252,7 +259,7 @@ def evaluate(d: Diagram, model: Model) -> Tensor:
         loops *= loops  # a thick loop is a ket loop beside a bra loop
     if loops != 1:
         result = result * loops
-    return Tensor(result.shape, result, scalar, thick)
+    return Tensor(result, scalar, thick)
 
 
 def _payload_ref(gen) -> str:
@@ -475,5 +482,5 @@ def random_payloads(model: Model, diagrams, seed: int = 0) -> Model:
                 repr((seed, gen.name, shape)).encode()).digest()
             rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
             arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            payloads[ref] = Payload(Tensor.from_array(arr))
+            payloads[ref] = Payload(Tensor(arr))
     return replace(model, payloads=payloads)

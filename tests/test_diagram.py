@@ -26,41 +26,41 @@ def _kind(kind):
 
 
 def test_identity_composition_is_neutral():
-    f = dg.box("f", (A,), (B, A))
+    f = dg.make_generator("f", (A,), (B, A))
     assert identity((A,)) >> f == f
     assert f >> identity((B, A)) == f
 
 
 def test_sequential_associativity_structural():
-    f = dg.box("f", (A,), (B,))
-    g = dg.box("g", (B,), (A, A))
-    h = dg.box("h", (A, A), ())
+    f = dg.make_generator("f", (A,), (B,))
+    g = dg.make_generator("g", (B,), (A, A))
+    h = dg.make_generator("h", (A, A), ())
     assert (f >> g) >> h == f >> (g >> h)
 
 
 def test_parallel_associativity_and_unit():
-    f = dg.box("f", (A,), (B,))
-    g = dg.box("g", (), (A,))
-    h = dg.box("h", (B,), ())
+    f = dg.make_generator("f", (A,), (B,))
+    g = dg.make_generator("g", (), (A,))
+    h = dg.make_generator("h", (B,), ())
     assert (f @ g) @ h == f @ (g @ h)
     assert f @ identity(()) == f == identity(()) @ f
 
 
 def test_interchange_law():
-    f = dg.box("f", (A,), (B,))
-    f2 = dg.box("f2", (B,), (A,))
-    g = dg.box("g", (B,), (A,))
-    g2 = dg.box("g2", (A,), (B,))
+    f = dg.make_generator("f", (A,), (B,))
+    f2 = dg.make_generator("f2", (B,), (A,))
+    g = dg.make_generator("g", (B,), (A,))
+    g2 = dg.make_generator("g2", (A,), (B,))
     assert (f @ g) >> (f2 @ g2) == (f >> f2) @ (g >> g2)
 
 
 def test_composition_type_errors():
-    f = dg.box("f", (A,), (B,))
-    g = dg.box("g", (A,), (A,))
+    f = dg.make_generator("f", (A,), (B,))
+    g = dg.make_generator("g", (A,), (A,))
     with pytest.raises(TypeMismatch):
         f >> g
     with pytest.raises(TypeMismatch):
-        f >> dg.box("h", (B, B), (A,))
+        f >> dg.make_generator("h", (B, B), (A,))
 
 
 def test_cup_cap_boundaries():
@@ -118,20 +118,25 @@ def test_permutation_rejects_non_permutation():
 
 
 def test_structural_equality_ignores_node_numbering():
-    f = dg.box("f", (), (A,))
-    g = dg.box("g", (), (B,))
+    f = dg.make_generator("f", (), (A,))
+    g = dg.make_generator("g", (), (B,))
     assert (f @ g).canonical() == (f @ g)
     # same port-graph built in a different order
-    left = (f @ g) >> (identity((A,)) @ dg.box("h", (B,), ()))
-    right = f @ (g >> dg.box("h", (B,), ()))
+    left = (f @ g) >> (identity((A,)) @ dg.make_generator("h", (B,), ()))
+    right = f @ (g >> dg.make_generator("h", (B,), ()))
     assert left == right
     assert hash(left) == hash(right)
+    # types compare as values, not as their strings: a base named "n.L"
+    # is not the left adjoint of "n"
+    named = identity((WireType("n.L"),))
+    adjoint = identity((WireType("n", 1),))
+    assert named != adjoint and len({named, adjoint}) == 2
 
 
 def test_disconnected_scalar_components_canonicalize():
-    s1 = dg.box("u", (), (A,)) >> dg.box("v", (A,), ())
-    s2 = dg.box("v", (A,), ())
-    s2 = dg.box("u", (), (A,)) >> s2
+    s1 = dg.make_generator("u", (), (A,)) >> dg.make_generator("v", (A,), ())
+    s2 = dg.make_generator("v", (A,), ())
+    s2 = dg.make_generator("u", (), (A,)) >> s2
     assert s1 @ s1 == s1 @ s1
     assert (s1 @ s2).canonical_key == (s2 @ s1).canonical_key
 
@@ -211,6 +216,31 @@ def test_a_wire_that_is_not_four_integers_cannot_be_built(wire):
     with pytest.raises(InvalidDiagram) as built:
         Diagram((A,), (A,), (), ((IN, 0, OUT, 0), wire))
     assert str(built.value) == f"BadWire: wire {wire!r} is not four integers"
+
+
+def _one_box(**fields):
+    """A diagram of one a-to-a box with the given node fields."""
+    return Diagram((A,), (A,), (Generator("box", (A,), (A,), **fields),),
+                   ((IN, 0, 0, 0), (0, 0, OUT, 0)))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Diagram(("a",), ("a",), (), ((IN, 0, OUT, 0),)),
+     "BadField: field 'dom' holds 'a', not a WireType; "
+     "BadField: field 'cod' holds 'a', not a WireType"),
+    (lambda: Diagram((A, B), (A,), (Generator("box", "ab", (A,), name="f"),),
+                     ((IN, 0, 0, 0), (IN, 1, 0, 1), (0, 0, OUT, 0))),
+     "BadField: node 0 field 'dom' holds 'a', not a WireType; "
+     "BadField: node 0 field 'dom' holds 'b', not a WireType"),
+    (lambda: _one_box(name=5),
+     "BadField: node 0 field 'name' holds 5, not a string"),
+    (lambda: _one_box(payload=3),
+     "BadField: node 0 field 'payload' holds 3, not a string or None"),
+], ids=["str-types", "str-node-types", "int-name", "int-payload"])
+def test_a_field_of_the_wrong_type_cannot_be_built(make, message):
+    with pytest.raises(InvalidDiagram) as built:
+        make()
+    assert str(built.value) == message
 
 
 @pytest.mark.parametrize("gen", [
@@ -353,14 +383,14 @@ def test_wire_order_is_not_observable():
 
 
 def test_from_json_rejects_invalid():
-    data = diagram_to_json(dg.box("f", (A,), (A,)))
+    data = diagram_to_json(dg.make_generator("f", (A,), (A,)))
     data["edges"] = data["edges"][:1]  # drop a wire
     with pytest.raises(InvalidDiagram):
         diagram_from_json(data)
 
 
 def test_from_json_rejects_undeclared_base():
-    data = diagram_to_json(dg.box("f", (A,), (A,)))
+    data = diagram_to_json(dg.make_generator("f", (A,), (A,)))
     data["types"] = {"zzz": True}
     with pytest.raises(UnknownBase):
         diagram_from_json(data)
@@ -375,14 +405,15 @@ def test_from_json_rejects_undeclared_base():
 ], ids=["edge-of-three", "edge-with-bool", "id-repeated", "id-skipped",
         "doubled-int"])
 def test_from_json_names_the_malformed_field(change, field):
-    data = diagram_to_json(dg.box("f", (A,), (B,)) >> dg.box("g", (B,), (A,)))
+    data = diagram_to_json(dg.make_generator("f", (A,), (B,))
+                           >> dg.make_generator("g", (B,), (A,)))
     change(data)
     with pytest.raises(ValueError, match=field):
         diagram_from_json(data)
 
 
 def test_parse_typelist_feeds_generators():
-    d = dg.box("not", (), parse_typelist("n.L s s.R n"))
+    d = dg.make_generator("not", (), parse_typelist("n.L s s.R n"))
     assert [str(t) for t in d.cod] == ["n.L", "s", "s.R", "n"]
 
 

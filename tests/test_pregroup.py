@@ -483,7 +483,7 @@ def _with_payloads(lexicon):
     for es in entries.values():
         for e in es:
             shape = tuple(lexicon.bases[t.base] for t in e.type)
-            payloads[e.payload] = Payload(Tensor(shape, np.ones(shape, complex)))
+            payloads[e.payload] = Payload(Tensor(np.ones(shape)))
     return dataclasses.replace(lexicon, entries=entries, payloads=payloads)
 
 

@@ -47,9 +47,9 @@ def test_double_snake_normalizes_to_identity():
 
 
 def test_identity_node_is_eliminated():
-    d = dg.box("f", (), (A,)) >> identity_node(A) >> dg.box("g", (A,), ())
-    nf = normalize(d)
-    assert nf.diagram == dg.box("f", (), (A,)) >> dg.box("g", (A,), ())
+    f, g = dg.make_generator("f", (), (A,)), dg.make_generator("g", (A,), ())
+    nf = normalize(f >> identity_node(A) >> g)
+    assert nf.diagram == f >> g
     assert ("identity", (1,)) in nf.rewrite_trace
 
 
@@ -86,6 +86,13 @@ def test_normalize_is_idempotent():
         again = normalize(nf.diagram)
         assert again.diagram == nf.diagram
         assert again.rewrite_trace == ()
+        # a normal form already has the wire layout that the checking
+        # constructor and the canonical form give, outputs last
+        n = nf.diagram
+        for rebuilt in (Diagram(n.dom, n.cod, n.nodes, n.wires),
+                        n.canonical()):
+            assert (rebuilt.dom, rebuilt.cod, rebuilt.nodes, rebuilt.wires) \
+                == (n.dom, n.cod, n.nodes, n.wires)
 
 
 def test_normalize_rejects_invalid_diagram():
@@ -117,7 +124,7 @@ def test_equal_syntactic_snake_vs_identity():
     assert equal(snake_left(), identity((A,)))
     assert equal(snake_right(), identity((A,)))
     assert not equal(snake_left(), identity_node(A) >> identity_node(A) >>
-                     dg.box("f", (A,), (A,)))
+                     dg.make_generator("f", (A,), (A,)))
 
 
 def test_equal_requires_same_boundary():
@@ -131,13 +138,14 @@ def test_equal_semantic_agrees_with_syntactic_on_snakes():
 
 def test_equal_semantic_distinguishes_cup_from_product():
     cup = dg.cup("a", 0)
-    product = dg.box("w1", (), (A.l,)) @ dg.box("w2", (), (A,))
+    product = dg.make_generator("w1", (), (A.l,)) \
+        @ dg.make_generator("w2", (), (A,))
     assert not equal(cup, product, mode="semantic", seed=0)
     model = Model(dims={"a": 2}, payloads={
         "box:" + repr(product.nodes[0].signature()):
-            Payload(Tensor.from_array(np.array([1.0, 0.0]))),
+            Payload(Tensor(np.array([1.0, 0.0]))),
         "box:" + repr(product.nodes[1].signature()):
-            Payload(Tensor.from_array(np.array([1.0, 0.0]))),
+            Payload(Tensor(np.array([1.0, 0.0]))),
     })
     assert not equal(cup, product, mode="semantic", model=model)
 

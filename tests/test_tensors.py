@@ -27,7 +27,7 @@ DATA = Path(stringcalc.__file__).parent / "data"
 
 
 def model_with(dims, **arrays):
-    payloads = {name: Payload(Tensor.from_array(np.asarray(arr, dtype=complex)))
+    payloads = {name: Payload(Tensor(arr))
                 for name, arr in arrays.items()}
     return Model(dims=dims, payloads=payloads)
 
@@ -35,7 +35,7 @@ def model_with(dims, **arrays):
 def test_single_box_evaluates_to_its_payload():
     arr = np.arange(6.0).reshape(2, 3)
     model = model_with({"a": 2, "b": 3}, f=arr)
-    d = dg.box("f", (A,), (B,), payload="f")
+    d = dg.make_generator("f", (A,), (B,), payload="f")
     assert np.allclose(evaluate(d, model).to_array(), arr)
 
 
@@ -43,7 +43,8 @@ def test_sequential_composition_is_contraction():
     f = np.random.default_rng(0).standard_normal((2, 3))
     g = np.random.default_rng(1).standard_normal((3, 2))
     model = model_with({"a": 2, "b": 3}, f=f, g=g)
-    d = dg.box("f", (A,), (B,), payload="f") >> dg.box("g", (B,), (A,), payload="g")
+    d = dg.make_generator("f", (A,), (B,), payload="f") \
+        >> dg.make_generator("g", (B,), (A,), payload="g")
     # payload axes are [input, output], so composition is matrix product f @ g
     assert np.allclose(evaluate(d, model).to_array(), f @ g)
 
@@ -52,7 +53,8 @@ def test_parallel_composition_is_outer_product():
     u = np.array([1.0, 2.0])
     v = np.array([3.0, 4.0, 5.0])
     model = model_with({"a": 2, "b": 3}, u=u, v=v)
-    d = dg.box("u", (), (A,), payload="u") @ dg.box("v", (), (B,), payload="v")
+    d = dg.make_generator("u", (), (A,), payload="u") \
+        @ dg.make_generator("v", (), (B,), payload="v")
     assert np.allclose(evaluate(d, model).to_array(), np.multiply.outer(u, v))
 
 
@@ -103,10 +105,10 @@ def test_evaluate_matches_brute_force_oracle():
 def test_missing_payload_and_dimension_errors():
     model = Model(dims={"a": 2})
     with pytest.raises(MissingPayload):
-        evaluate(dg.box("f", (A,), (A,), payload="nope"), model)
+        evaluate(dg.make_generator("f", (A,), (A,), payload="nope"), model)
     bad = model_with({"a": 2}, f=np.zeros((3, 3)))
     with pytest.raises(DimensionMismatch):
-        evaluate(dg.box("f", (A,), (A,), payload="f"), bad)
+        evaluate(dg.make_generator("f", (A,), (A,), payload="f"), bad)
     with pytest.raises(DimensionMismatch):
         evaluate(dg.cup("z", 0), model)
 
@@ -136,7 +138,7 @@ def assert_matches_oracle(d, dims, seed=0):
 
 
 def state(name, *cod):
-    return dg.box(name, (), cod)
+    return dg.make_generator(name, (), cod)
 
 
 def test_alias_bare_through_wires():
@@ -162,18 +164,20 @@ def test_alias_spiders_with_several_open_legs():
 
 def test_alias_spider_joining_three_boxes():
     closed = state("u", A) >> dg.spider("a", 1, 2) \
-        >> (dg.box("p", (A,), (B,)) @ dg.box("q", (A,), (B,)))
+        >> (dg.make_generator("p", (A,), (B,))
+            @ dg.make_generator("q", (A,), (B,)))
     assert_matches_oracle(closed, {"a": 2, "b": 2})
     # the shared label also stays open, so it survives every pair contraction
     open_leg = state("u", A) >> dg.spider("a", 1, 3) \
-        >> (dg.box("p", (A,), (B,)) @ identity((A,)) @ dg.box("q", (A,), (B,)))
+        >> (dg.make_generator("p", (A,), (B,)) @ identity((A,))
+            @ dg.make_generator("q", (A,), (B,)))
     assert_matches_oracle(open_leg, {"a": 2, "b": 2})
 
 
 def test_alias_box_output_capped_to_its_own_input():
     # cup, then f on the lower leg, then f's output capped back to the cup:
     # a partial trace of f over its a legs
-    f = dg.box("f", (A,), (A, B))
+    f = dg.make_generator("f", (A,), (A, B))
     d = dg.cup("a", 0) >> (identity((A.l,)) @ f) \
         >> (dg.swap(A.l, A) @ identity((B,))) >> (dg.cap("a", 0) @ identity((B,)))
     assert d.dom == () and d.cod == (B,)
@@ -235,10 +239,10 @@ def test_long_sentence_matches_matrix_chain():
 
 def test_scalar_factor_accumulates():
     model = Model(dims={"a": 2}, payloads={
-        "s": Payload(Tensor((), np.array(1.0 + 0j), scalar=0.5)),
+        "s": Payload(Tensor(np.array(1.0 + 0j), scalar=0.5)),
     })
-    d = dg.box("s", (), (), payload="s") @ dg.box("s", (), (), payload="s") \
-        @ identity((A,))
+    s = dg.make_generator("s", (), (), payload="s")
+    d = s @ s @ identity((A,))
     out = evaluate(d, model)
     assert np.allclose(out.to_array(), 0.25 * np.eye(2))
 
@@ -261,7 +265,7 @@ def test_thick_evaluation_doubles_pure_states():
     rng = np.random.default_rng(2)
     v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     model = model_with({"a": 3}, v=v)
-    d = dg.box("v", (), (A,), payload="v")
+    d = dg.make_generator("v", (), (A,), payload="v")
     thin = evaluate(d, model).to_array()
     thick = evaluate(double(d), model).to_array()
     assert np.allclose(thick, double_array(thin))
@@ -272,7 +276,8 @@ def test_thick_evaluation_commutes_with_contraction():
     f = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     g = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     model = model_with({"a": 2, "b": 3}, f=f, g=g)
-    d = dg.box("f", (A,), (B,), payload="f") >> dg.box("g", (B,), (A,), payload="g")
+    d = dg.make_generator("f", (A,), (B,), payload="f") \
+        >> dg.make_generator("g", (B,), (A,), payload="g")
     thick = evaluate(double(d), model).to_array()
     assert np.allclose(thick, double_array(f @ g))
 
@@ -280,9 +285,9 @@ def test_thick_evaluation_commutes_with_contraction():
 def test_mixed_payload_requires_thick_wires():
     rho = np.eye(2) / 2.0
     model = Model(dims={"a": 2}, payloads={
-        "rho": Payload(Tensor.from_array(rho.reshape(4)), kind="mixed"),
+        "rho": Payload(Tensor(rho.reshape(4)), kind="mixed"),
     })
-    d = dg.box("rho", (), (A,), payload="rho")
+    d = dg.make_generator("rho", (), (A,), payload="rho")
     with pytest.raises(DimensionMismatch):
         evaluate(d, model)
     out = evaluate(double(d), model).to_array()
@@ -291,7 +296,7 @@ def test_mixed_payload_requires_thick_wires():
 
 @pytest.mark.parametrize("make", [
     lambda: Model(dims={"a": 2}, doubling="Thick"),
-    lambda: Payload(Tensor.from_array(np.ones(4)), "Mixed"),
+    lambda: Payload(Tensor(np.ones(4)), "Mixed"),
 ], ids=["model-doubling", "payload-kind"])
 def test_model_and_payload_take_only_their_documented_values(make):
     with pytest.raises(ValueError, match="'Thick'|'Mixed'"):
@@ -318,7 +323,7 @@ def test_thick_evaluation_with_mixed_payloads_matches_oracle():
             if rng.random() < 0.5:
                 shape = tuple(x * x for x in payloads[ref].tensor.shape)
                 arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                payloads[ref] = Payload(Tensor.from_array(arr), kind="mixed")
+                payloads[ref] = Payload(Tensor(arr), kind="mixed")
         kinds = {payloads[ref].kind for ref in refs}
         both += kinds == {"pure", "mixed"}
         model = Model(dims=dims, payloads=payloads, doubling="thick")
@@ -354,14 +359,14 @@ def test_allocations_over_the_budget_raise_state_explosion(monkeypatch):
     monkeypatch.setattr(tensors, "MAX_ELEMENTS", 8)
     v = np.arange(1.0, 4.0)
     model = model_with({"a": 3}, v=v, f=np.eye(9).reshape(3, 3, 3, 3))
-    vec = dg.box("v", (), (A,), payload="v")
+    vec = dg.make_generator("v", (), (A,), payload="v")
     assert evaluate(vec, model).shape == (3,)
     too_big = {
         "doubled result": double(vec),
         "boundary identity": dg.cup("a", 0),
         "outer product": vec @ vec,
-        "pair contraction": (vec @ vec) >> dg.box("f", (A, A), (A, A),
-                                                  payload="f"),
+        "pair contraction": (vec @ vec) >> dg.make_generator(
+            "f", (A, A), (A, A), payload="f"),
     }
     for what, d in too_big.items():
         with pytest.raises(StateExplosion, match="budget"):
@@ -384,61 +389,61 @@ def test_doubled_and_plain_do_not_compose():
 
 def test_as_density_matrix_square_and_thick():
     m = np.arange(4.0).reshape(2, 2)
-    assert np.allclose(as_density_matrix(Tensor.from_array(m)), m)
+    assert np.allclose(as_density_matrix(Tensor(m)), m)
     # a thick wire of squared dimension 4 folds to a 2x2 matrix
     v = np.array([1.0, 2.0 + 1j])
-    t = Tensor.from_array(double_array(v))
+    t = Tensor(double_array(v))
     assert np.allclose(as_density_matrix(t), np.outer(v, v.conj()))
     with pytest.raises(NotSquare):
-        as_density_matrix(Tensor.from_array(np.zeros(3)))
+        as_density_matrix(Tensor(np.zeros(3)))
     with pytest.raises(NotSquare):
-        as_density_matrix(Tensor.from_array(np.array(1.0)))
+        as_density_matrix(Tensor(np.array(1.0)))
 
 
 def test_entropy_pure_and_mixed():
     v = np.array([1.0, 1.0j]) / np.sqrt(2)
-    pure = Tensor.from_array(np.outer(v, v.conj()))
+    pure = Tensor(np.outer(v, v.conj()))
     assert abs(entropy(pure)) < 1e-9
-    mixed = Tensor.from_array(np.eye(4) / 4.0)
+    mixed = Tensor(np.eye(4) / 4.0)
     assert abs(entropy(mixed) - 2.0) < 1e-12
     # normalization is automatic
-    assert abs(entropy(Tensor.from_array(np.eye(3) * 7.0)) - np.log2(3)) < 1e-12
+    assert abs(entropy(Tensor(np.eye(3) * 7.0)) - np.log2(3)) < 1e-12
 
 
 def test_entropy_of_a_pure_state_is_plus_zero():
     """Not ``-0.0`` (the sum of one zero term, negated), and not the
     -3e-16 that rounding can give for the second state."""
     for v in (np.array([1.0, 0.0]), np.array([1.0, 6 / 7, 1j])):
-        value = entropy(Tensor.from_array(np.outer(v, v.conj())))
+        value = entropy(Tensor(np.outer(v, v.conj())))
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_entropy_rejects_bad_matrices():
     with pytest.raises(NotHermitian):
-        entropy(Tensor.from_array(np.array([[0.0, 1.0], [0.0, 0.0]])))
+        entropy(Tensor(np.array([[0.0, 1.0], [0.0, 0.0]])))
     with pytest.raises(ValueError):
-        entropy(Tensor.from_array(np.zeros((2, 2))))
+        entropy(Tensor(np.zeros((2, 2))))
 
 
 def test_similarity_cosine():
-    t1 = Tensor.from_array(np.array([1.0, 0.0]))
-    t2 = Tensor.from_array(np.array([1.0, 1.0]))
+    t1 = Tensor(np.array([1.0, 0.0]))
+    t2 = Tensor(np.array([1.0, 1.0]))
     assert abs(similarity(t1, t2) - 1 / np.sqrt(2)) < 1e-12
     assert abs(similarity(t1, t1) - 1.0) < 1e-12
     # phase-invariant
-    t3 = Tensor.from_array(np.array([1.0j, 0.0]))
+    t3 = Tensor(np.array([1.0j, 0.0]))
     assert abs(similarity(t1, t3) - 1.0) < 1e-12
     with pytest.raises(ZeroNorm):
-        similarity(t1, Tensor.from_array(np.zeros(2)))
+        similarity(t1, Tensor(np.zeros(2)))
     with pytest.raises(ShapeMismatch):
-        similarity(t1, Tensor.from_array(np.zeros(3)))
+        similarity(t1, Tensor(np.zeros(3)))
 
 
 def test_similarity_normalized_overlap():
     v = np.array([1.0, 0.0])
     w = np.array([0.0, 1.0])
-    rho1 = Tensor.from_array(np.outer(v, v))
-    rho2 = Tensor.from_array(np.outer(w, w))
+    rho1 = Tensor(np.outer(v, v))
+    rho2 = Tensor(np.outer(w, w))
     assert abs(similarity(rho1, rho2, kind="normalized-overlap")) < 1e-12
     assert abs(similarity(rho1, rho1, kind="normalized-overlap") - 1.0) < 1e-12
     with pytest.raises(ValueError):
@@ -448,9 +453,26 @@ def test_similarity_normalized_overlap():
 # -- serialization and misc ---------------------------------------------------
 
 
+def test_tensors_compare_by_value():
+    """Tensors are equal when their arrays, scalars and thick marks are,
+    so two lexicons loaded from one file compare equal."""
+    data = {"bases": {"n": 2},
+            "words": [{"word": "x", "type": "n", "data": [1.0, 0.5]}]}
+    assert lexicon_from_json(data) == lexicon_from_json(data)
+    changed = json.loads(json.dumps(data))
+    changed["words"][0]["data"][1] = 0.25
+    assert lexicon_from_json(data) != lexicon_from_json(changed)
+    t = Tensor(np.array([1.0, 0.5]))
+    assert t == Tensor([1, 0.5])
+    assert t != Tensor(t.data, scalar=2.0)
+    assert t != Tensor(t.data, thick=True)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(t)
+
+
 def test_tensor_to_json_lists_shape_pairs_and_scalar():
-    t = Tensor.from_array(np.array([[1.0 + 2.0j, 0.0], [3.0, -1.0j]]),
-                          scalar=0.5 - 0.25j)
+    t = Tensor(np.array([[1.0 + 2.0j, 0.0], [3.0, -1.0j]]),
+               scalar=0.5 - 0.25j)
     assert tensor_to_json(t) == {
         "shape": [2, 2],
         "data": [[1.0, 2.0], [0.0, 0.0], [3.0, 0.0], [0.0, -1.0]],
@@ -458,7 +480,8 @@ def test_tensor_to_json_lists_shape_pairs_and_scalar():
 
 
 def test_random_payloads_are_deterministic_and_shared():
-    d = dg.box("f", (A,), (A,)) >> dg.box("f", (A,), (A,))
+    f = dg.make_generator("f", (A,), (A,))
+    d = f >> f
     m1 = random_payloads(Model(dims={"a": 3}), (d,), seed=9)
     m2 = random_payloads(Model(dims={"a": 3}), (d,), seed=9)
     (ref,) = m1.payloads

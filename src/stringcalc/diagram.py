@@ -34,7 +34,10 @@ raises ``InvalidDiagram`` naming every violation:
 
 So no operation checks its input.  What a rule that keeps the invariants
 builds from valid diagrams (the constructors here, ``>>``, ``@``, the
-canonical and normal forms and the double) skips the check.  So does a
+canonical and normal forms and the double) skips the check.  The
+constructors that take types (``identity``, ``identity_node``, ``swap``,
+``permutation`` and ``make_generator``) only test them, and a box's name
+and payload, in bulk, and raise the check's ``BadField``.  So does a
 sentence's ``pregroup.grammar_diagram``: its word states are valid and
 have no inputs, and links that pass the reduction check join distinct
 outputs of that row, each to its left adjoint, so its caps are a valid
@@ -173,11 +176,23 @@ def _unchecked(dom: TypeList, cod: TypeList, nodes: tuple[Generator, ...],
     return d
 
 
+def _typed(d: Diagram, types: TypeList, name: object = "",
+           payload: object = None) -> Diagram:
+    """*d*, built without the check from *types*, *name* and *payload*, if
+    each type is a ``WireType`` (a plain tuple equals one), the name a
+    string and the payload a string or ``None``; else the check's
+    ``BadField``."""
+    if {type(t) for t in types} - {WireType} or type(name) is not str \
+            or type(payload) not in (str, type(None)):
+        _check(d)  # raises BadField
+    return d
+
+
 def identity(types: TypeList) -> Diagram:
     """Node-less identity: each wire runs straight through."""
     types = tuple(types)
-    return _unchecked(types, types, (), tuple(
-        (IN, k, OUT, k) for k in range(len(types))))
+    return _typed(_unchecked(types, types, (), tuple(
+        (IN, k, OUT, k) for k in range(len(types)))), types)
 
 
 def _one_node(gen: Generator) -> Diagram:
@@ -189,7 +204,7 @@ def _one_node(gen: Generator) -> Diagram:
 
 def identity_node(t: WireType) -> Diagram:
     """An explicit identity generator on one wire (removed by normalize)."""
-    return _one_node(Generator(IDENTITY, (t,), (t,)))
+    return _typed(_one_node(Generator(IDENTITY, (t,), (t,))), (t,))
 
 
 def make_generator(name: str, dom: TypeList, cod: TypeList,
@@ -200,8 +215,8 @@ def make_generator(name: str, dom: TypeList, cod: TypeList,
     """
     if not name:
         raise ValueError("generator name must be nonempty")
-    return _one_node(Generator(BOX, tuple(dom), tuple(cod), name=name,
-                               payload=payload))
+    gen = Generator(BOX, tuple(dom), tuple(cod), name=name, payload=payload)
+    return _typed(_one_node(gen), gen.dom + gen.cod, name, payload)
 
 
 def cup(base: str, z: int = 0) -> Diagram:
@@ -221,7 +236,7 @@ def cap(base: str, z: int = 0) -> Diagram:
 
 
 def swap(u: WireType, v: WireType) -> Diagram:
-    return _one_node(Generator(SWAP, (u, v), (v, u)))
+    return _typed(_one_node(Generator(SWAP, (u, v), (v, u))), (u, v))
 
 
 def spider(base: str, n_in: int, m_out: int) -> Diagram:
@@ -262,8 +277,8 @@ def permutation(types: TypeList, perm: list[int]) -> Diagram:
                 current[j], current[j + 1] = b, a
                 changed = True
     wires += [feed[j] + (OUT, j) for j in range(len(types))]
-    return _unchecked(types, tuple(types[i] for i in current),
-                      tuple(nodes), tuple(wires))
+    return _typed(_unchecked(types, tuple(types[i] for i in current),
+                             tuple(nodes), tuple(wires)), types)
 
 
 # -- composition ---------------------------------------------------------

@@ -117,18 +117,28 @@ def parse(lexicon: PregroupLexicon, words: list[str],
     """
     if isinstance(target, str):
         target = parse_typelist(target)
+    elif isinstance(target, WireType):
+        raise TypeError(f"parse: target must be a type string or a list of "
+                        f"WireType, got the lone WireType {target}")
     target = tuple(target)
     check_declared(target, lexicon.bases)
     entries = [lexicon.lookup(w) for w in words]
     bases = sorted({t.base for t in target}.union(
         *({t.base for t in e.type} for es in entries for e in es)))
-    owed = tuple(-c for c in _charge(target, bases))
-    charges = [[_charge(e.type, bases) for e in es] for es in entries]
+    # a word with one entry adds the same charge to every combination, so
+    # it is owed once; each combination sums over the other words only
+    owed = [-c for c in _charge(target, bases)]
+    choices: list[tuple[int, list[tuple[int, ...]]]] = []
+    for pos, es in enumerate(entries):
+        if len(es) == 1:
+            owed = [o + c for o, c in zip(owed, _charge(es[0].type, bases))]
+        else:
+            choices.append((pos, [_charge(e.type, bases) for e in es]))
     witnesses: list[ParseWitness] = []
     for combo in islice(product(*(range(len(es)) for es in entries)),
                         max_combinations):
-        if any(map(sum, zip(owed, *(charges[pos][k]
-                                    for pos, k in enumerate(combo))))):
+        if any(map(sum, zip(owed, *(charges[combo[pos]]
+                                    for pos, charges in choices)))):
             continue  # its charge differs from the target's in some base
         flat: list[WireType] = []
         for pos, k in enumerate(combo):
@@ -148,8 +158,10 @@ def parse(lexicon: PregroupLexicon, words: list[str],
 
 def _charge(types: TypeList, bases: list[str]) -> tuple[int, ...]:
     """The sum of ``(-1)^z`` over the wires of each base, in *bases* order."""
-    return tuple(sum(1 - 2 * (t.z % 2) for t in types if t.base == b)
-                 for b in bases)
+    charge = dict.fromkeys(bases, 0)
+    for base, z in types:
+        charge[base] += 1 - 2 * (z % 2)
+    return tuple(charge.values())
 
 
 def _reductions(flat: TypeList, target: TypeList) -> list[frozenset]:
@@ -164,7 +176,9 @@ def _reductions(flat: TypeList, target: TypeList) -> list[frozenset]:
     """
     n, m = len(flat), len(target)
     at = _indices(flat)
-    closers = [at.get(t.l, 0) for t in flat]  # where a link from i can close
+    # where a link from i can close: at flat[i].l, looked up as the plain
+    # tuple it equals, so no WireType is built
+    closers = [at.get((base, z + 1), 0) for base, z in flat]
     in_target = _indices(target)
     empty = [0] * n + [1 << n]
     reach = [0] * n + [1 << m]

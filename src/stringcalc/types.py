@@ -17,12 +17,19 @@ markers:
 ('n.L.L', 'n.R')
 >>> parse_wiretype("n.L.L")
 WireType('n', 2)
+
+A wire type is the named pair ``(base, z)``, so it hashes, compares and
+orders as that tuple, in C.  So it also equals the plain tuple; the
+``Diagram`` constructors tell the two apart by type:
+
+>>> WireType("n") == ("n", 0), len(WireType("n"))
+(True, 2)
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import UnknownBase
 
@@ -36,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class WireType:
+class WireType(NamedTuple):
     base: str
     z: int = 0
 
@@ -129,6 +135,9 @@ def typelist_str(types: TypeList) -> str:
 
 def check_declared(types: TypeList, table) -> None:
     """Raise :class:`UnknownBase` unless every base appears in *table*."""
+    if isinstance(types, WireType):
+        raise TypeError(f"check_declared: types must be a list of WireType, "
+                        f"got the lone WireType {types}")
     for t in types:
         if t.base not in table:
             raise UnknownBase(f"base {t.base!r} is not declared")

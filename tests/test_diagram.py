@@ -236,7 +236,37 @@ def _one_box(**fields):
      "BadField: node 0 field 'name' holds 5, not a string"),
     (lambda: _one_box(payload=3),
      "BadField: node 0 field 'payload' holds 3, not a string or None"),
-], ids=["str-types", "str-node-types", "int-name", "int-payload"])
+    # the constructors that build without the check test their types in
+    # bulk; a WireType equals its plain tuple, so this must not build
+    (lambda: dg.identity((("n", 0),)),
+     "BadField: field 'dom' holds ('n', 0), not a WireType; "
+     "BadField: field 'cod' holds ('n', 0), not a WireType"),
+    (lambda: dg.identity_node("a"),
+     "BadField: field 'dom' holds 'a', not a WireType; "
+     "BadField: field 'cod' holds 'a', not a WireType; "
+     "BadField: node 0 field 'dom' holds 'a', not a WireType; "
+     "BadField: node 0 field 'cod' holds 'a', not a WireType"),
+    (lambda: dg.swap(A, "b"),
+     "BadField: field 'dom' holds 'b', not a WireType; "
+     "BadField: field 'cod' holds 'b', not a WireType; "
+     "BadField: node 0 field 'dom' holds 'b', not a WireType; "
+     "BadField: node 0 field 'cod' holds 'b', not a WireType"),
+    (lambda: dg.permutation((A, ("b", 0)), [1, 0]),
+     "BadField: field 'dom' holds ('b', 0), not a WireType; "
+     "BadField: field 'cod' holds ('b', 0), not a WireType; "
+     "BadField: node 0 field 'dom' holds ('b', 0), not a WireType; "
+     "BadField: node 0 field 'cod' holds ('b', 0), not a WireType"),
+    (lambda: dg.make_generator("f", (A,), ("a",)),
+     "BadField: field 'cod' holds 'a', not a WireType; "
+     "BadField: node 0 field 'cod' holds 'a', not a WireType"),
+    (lambda: dg.make_generator(5, (A,), (A,)),
+     "BadField: node 0 field 'name' holds 5, not a string"),
+    (lambda: dg.make_generator("f", (A,), (A,), payload=3),
+     "BadField: node 0 field 'payload' holds 3, not a string or None"),
+], ids=["str-types", "str-node-types", "int-name", "int-payload",
+        "identity-tuple", "identity-node-str", "swap-str", "permutation-tuple",
+        "make-generator-str", "make-generator-int-name",
+        "make-generator-int-payload"])
 def test_a_field_of_the_wrong_type_cannot_be_built(make, message):
     with pytest.raises(InvalidDiagram) as built:
         make()

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 from itertools import islice, product
 from pathlib import Path
 
@@ -97,6 +98,13 @@ def test_undeclared_target_base_raises(lex):
         parse(lex, ["Alice", "hates", "Bob"], target="q")
     with pytest.raises(UnknownBase, match="'q'"):
         parse(lex, ["Alice"], target=(WireType("n"), WireType("q", 1)))
+
+
+def test_a_lone_wire_type_target_is_named(lex):
+    with pytest.raises(TypeError, match="parse: target must be a type "
+                       "string or a list of WireType, got the lone WireType s"):
+        parse(lex, ["Alice", "sleeps"], target=WireType("s"))
+    assert parse(lex, ["Alice", "sleeps"], target=(WireType("s"),))
 
 
 def test_ambiguous_lexicon_yields_multiple_witnesses():
@@ -363,9 +371,9 @@ ENTRY_TYPES = [parse_typelist(t) for t in (
     "s.L s", "s s.R")]
 
 
-def _random_lexicon(rng, n_words=4):
-    """Words of two or three entries: mostly common types, else one to
-    three random ones."""
+def _random_lexicon(rng, n_words=4, fewest_entries=2):
+    """Words of *fewest_entries* to three entries: mostly common types,
+    else one to three random ones."""
     def entry_type():
         if rng.random() < 0.7:
             return ENTRY_TYPES[int(rng.integers(0, len(ENTRY_TYPES)))]
@@ -373,7 +381,7 @@ def _random_lexicon(rng, n_words=4):
 
     return pregroup.PregroupLexicon(bases={"n": 2, "s": 2, "p": 2}, entries={
         f"w{w}": tuple(pregroup.LexEntry(f"w{w}", entry_type(), None, "pure")
-                       for _ in range(int(rng.integers(2, 4))))
+                       for _ in range(int(rng.integers(fewest_entries, 4))))
         for w in range(n_words)})
 
 
@@ -460,6 +468,53 @@ def test_charge_mismatch_never_reaches_reductions(monkeypatch):
     # the cap counts the skipped combination too
     assert parse(lexicon, ["stone", "fish"], max_combinations=1) == []
     assert flats == [parse_typelist("n n.L s")]
+
+
+def _charge_by_count(types) -> dict:
+    """Per base, the wires of even adjoint order less those of odd order,
+    bases at zero left out."""
+    count = Counter()
+    for t in types:
+        count[t.base] += -1 if t.z % 2 else 1
+    return {b: c for b, c in count.items() if c}
+
+
+def test_reductions_run_once_per_charge_viable_combination(monkeypatch):
+    """Words of one entry and of several: among the first ``cap``
+    combinations, exactly those whose charge is the target's reach
+    ``_reductions``, once each and in order."""
+    flats = []
+
+    def counted(flat, target):
+        flats.append(flat)
+        return reductions(flat, target)
+
+    reductions = pregroup._reductions
+    monkeypatch.setattr(pregroup, "_reductions", counted)
+    rng = np.random.default_rng(29)
+    viable = skipped = 0
+    for trial in range(300):
+        lexicon = _random_lexicon(rng, fewest_entries=1)
+        words = [f"w{int(rng.integers(0, 4))}"
+                 for _ in range(int(rng.integers(1, 6)))]
+        if trial % 2:
+            target = TARGETS[trial % len(TARGETS)]
+        else:  # what one combination is left with after greedy cancelling
+            report = residual_report(lexicon, words)
+            target = parse_typelist(report[int(rng.integers(0, len(report)))][1])
+        cap = int(rng.choice([1, 3, 8, 64]))
+        choices = [range(len(lexicon.lookup(w))) for w in words]
+        tried = [tuple(t for w, k in zip(words, combo)
+                       for t in lexicon.lookup(w)[k].type)
+                 for combo in islice(product(*choices), cap)]
+        want = [flat for flat in tried
+                if _charge_by_count(flat) == _charge_by_count(target)]
+        flats.clear()
+        parse(lexicon, words, target, max_combinations=cap)
+        assert flats == want, (words, target, cap)
+        viable += len(want)
+        skipped += len(tried) - len(want)
+    assert viable > 200 and skipped > 1000
 
 
 def test_long_sentence_parses_without_recursion_limit():

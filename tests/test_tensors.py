@@ -376,6 +376,105 @@ def test_allocations_over_the_budget_raise_state_explosion(monkeypatch):
         evaluate(d, model)
 
 
+def _pair_sizes(monkeypatch, evaluations) -> list[int]:
+    """The element count of every pair contraction, in the order made."""
+    sizes = []
+
+    def spy(elements, what):
+        if what == "a pair contraction":
+            sizes.append(elements)
+        check(elements, what)
+
+    check = tensors.check_budget
+    monkeypatch.setattr(tensors, "check_budget", spy)
+    for d, model in evaluations:
+        evaluate(d, model)
+    return sizes
+
+
+def _long_sentence(seed=67):
+    """67 words of ``NP does not sees NP``, with relative clauses and
+    adjective chains, as a lexicon with seeded payloads."""
+    rng = np.random.default_rng(seed)
+
+    def data(*shape):
+        return rng.standard_normal(shape).ravel().tolist()
+
+    words = [{"word": f"adj{k}", "type": "n n.R", "data": data(4, 4)}
+             for k in range(6)]
+    words += [{"word": f"noun{k}", "type": "n", "data": data(4)}
+              for k in range(3)]
+    words += [
+        {"word": "sees", "type": "n.L s n.R", "data": data(4, 2, 4)},
+        {"word": "who", "type": "n.L n s.R n",
+         "payload": "structural:relpron"},
+        {"word": "does", "type": "n.L s s.R n",
+         "payload": "structural:copula"},
+        {"word": "not", "type": "n.L s s.R n",
+         "payload": "structural:negation", "data": data(2, 2)}]
+
+    def phrase():
+        nouns = [f"noun{k}" for k in rng.integers(3, size=3)]
+        return [nouns[0], "who", "sees", nouns[1], "who", "sees"] + [
+            f"adj{k}" for k in rng.integers(6, size=25)] + [nouns[2]]
+
+    sentence = phrase() + ["does", "not", "sees"] + phrase()
+    return lexicon_from_json({"bases": {"n": 4, "s": 2}, "words": words}), \
+        sentence
+
+
+@pytest.mark.parametrize("sentence, target, doubling, sizes", [
+    ("Alice hates Bob", "s", "thin", [6, 2]),
+    ("Alice hates Bob", "s", "thick", [6, 2]),
+    ("Alice does not like Bob", "s", "thin", [6, 2, 2]),
+    ("Alice does not like Bob", "s", "thick", [6, 2, 2]),
+    ("queen who rocks", "n", "thick", [9]),
+    ("queen who buzzes", "n", "thick", [9]),
+    ("queen who rules", "n", "thick", [9]),
+    # four witnesses, each a chain of vectors, then the verb and negation
+    (None, "s", "thin", ([4] * 58 + [8, 2, 2]) * 4),
+    (None, "s", "thick", ([4] * 58 + [8, 2, 2]) * 4),
+], ids=["hates-thin", "hates-thick", "not-thin", "not-thick", "rocks",
+        "buzzes", "rules", "67-words-thin", "67-words-thick"])
+def test_pair_contractions_keep_their_greedy_order(monkeypatch, sentence,
+                                                   target, doubling, sizes):
+    """The result size of each pair contraction, in order, as the greedy
+    path made them before pairs went through one matmul kernel."""
+    if sentence is None:
+        lexicon, words = _long_sentence()
+        assert len(words) == 67
+    else:
+        lexicon = lexicon_from_json(
+            json.loads((DATA / "language.json").read_text()))
+        words = sentence.split()
+    diagrams = [grammar_diagram(words, w, lexicon)
+                for w in parse(lexicon, words, target)]
+    model = lexicon.model(doubling)
+    assert _pair_sizes(monkeypatch, [(d, model) for d in diagrams]) == sizes
+
+
+def test_a_256_dimension_pair_with_a_batch_axis_matches_oracle(monkeypatch):
+    """One pair contraction sums a 256-dimension label and keeps a shared
+    open one as a batch axis, thin and with two mixed payloads."""
+    u = dg.make_generator("u", (), (A, B), payload="u")
+    v = dg.make_generator("v", (A,), (B,), payload="v")
+    d = u >> (v @ identity((B,))) >> dg.spider("b", 2, 1)
+    rng = np.random.default_rng(256)
+
+    def payload(kind, *shape):
+        arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return Payload(Tensor(arr), kind)
+
+    thin = Model(dims={"a": 256, "b": 2}, payloads={
+        "u": payload("pure", 256, 2), "v": payload("pure", 256, 2)})
+    mixed = Model(dims={"a": 16, "b": 2}, doubling="thick", payloads={
+        "u": payload("mixed", 256, 4), "v": payload("mixed", 256, 4)})
+    assert _pair_sizes(monkeypatch, [(d, thin), (d, mixed)]) == [2, 4]
+    for model in (thin, mixed):
+        got = evaluate(d, model).to_array()
+        assert np.allclose(got, brute_force_evaluate(d, model), atol=1e-9)
+
+
 def test_doubled_and_plain_do_not_compose():
     from stringcalc.errors import TypeMismatch
     with pytest.raises(TypeMismatch):

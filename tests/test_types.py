@@ -79,3 +79,19 @@ def test_check_declared():
     check_declared((WireType("n"),), {"n": 2})
     with pytest.raises(UnknownBase):
         check_declared((WireType("x"),), {"n": 2})
+
+
+def test_check_declared_names_a_lone_wire_type():
+    # a lone WireType iterates as its base and order, which have no .base
+    with pytest.raises(TypeError, match="check_declared: types must be a "
+                       "list of WireType, got the lone WireType n"):
+        check_declared(WireType("n"), {"n": 2})
+
+
+def test_a_wire_type_is_its_tuple():
+    n = WireType("n", 1)
+    assert n == ("n", 1) and hash(n) == hash(("n", 1)) and len(n) == 2
+    assert n.r == ("n", 0) and sorted([n, WireType("m"), n.r]) == [
+        ("m", 0), ("n", 0), ("n", 1)]
+    assert (str(n), repr(n), repr(n.r)) == ("n.L", "WireType('n', 1)",
+                                             "WireType('n')")

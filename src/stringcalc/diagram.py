@@ -19,8 +19,9 @@ raises ``InvalidDiagram`` naming every violation:
 
 * ``dom``, ``cod``, ``nodes`` and ``wires`` are tuples, and so are each
   node's ``dom`` and ``cod``;
-* every type is a ``WireType``, and each node's ``name`` is a string and
-  its ``payload`` a string or ``None``;
+* every type is a ``WireType`` of a string base and an integer order,
+  and each node's ``name`` is a string and its ``payload`` a string or
+  ``None``;
 * each wire is four integers;
 * each node fits its kind: a cup is ``[] -> [t.l, t]``, a cap
   ``[t, t.l] -> []``, a swap ``[u, v] -> [v, u]``, an identity
@@ -35,9 +36,10 @@ raises ``InvalidDiagram`` naming every violation:
 So no operation checks its input.  What a rule that keeps the invariants
 builds from valid diagrams (the constructors here, ``>>``, ``@``, the
 canonical and normal forms and the double) skips the check.  The
-constructors that take types (``identity``, ``identity_node``, ``swap``,
-``permutation`` and ``make_generator``) only test them, and a box's name
-and payload, in bulk, and raise the check's ``BadField``.  So does a
+constructors that take types or bases (``identity``, ``identity_node``,
+``swap``, ``permutation``, ``make_generator``, ``cup``, ``cap`` and
+``spider``) only test those, and a box's name and payload, in bulk, and
+raise the check's ``BadField``.  So does a
 sentence's ``pregroup.grammar_diagram``: its word states are valid and
 have no inputs, and links that pass the reduction check join distinct
 outputs of that row, each to its left adjoint, so its caps are a valid
@@ -179,13 +181,22 @@ def _unchecked(dom: TypeList, cod: TypeList, nodes: tuple[Generator, ...],
 def _typed(d: Diagram, types: TypeList, name: object = "",
            payload: object = None) -> Diagram:
     """*d*, built without the check from *types*, *name* and *payload*, if
-    each type is a ``WireType`` (a plain tuple equals one), the name a
-    string and the payload a string or ``None``; else the check's
-    ``BadField``."""
-    if {type(t) for t in types} - {WireType} or type(name) is not str \
+    the types are wire types, the name a string and the payload a string
+    or ``None``; else the check's ``BadField``."""
+    if not _wire_types(types) or type(name) is not str \
             or type(payload) not in (str, type(None)):
         _check(d)  # raises BadField
     return d
+
+
+def _wire_types(types) -> bool:
+    """Whether each of *types* is a ``WireType`` of a string base and an
+    integer order: in bulk if each base is a ``str`` itself, else one by
+    one.  A plain tuple equals a ``WireType`` and ``True`` equals 1, so
+    the bulk test compares classes."""
+    return {type(t) is WireType and (type(t.base), type(t.z))
+            for t in types} <= {(str, int)} \
+        or not any(map(_not_a_wire_type, types))
 
 
 def identity(types: TypeList) -> Diagram:
@@ -225,14 +236,14 @@ def cup(base: str, z: int = 0) -> Diagram:
     With :func:`cap` on the same ``z``, the snake composed from the two
     type-checks on the wire ``b^z``.
     """
-    return _one_node(Generator(CUP, (), (WireType(base, z + 1),
-                                         WireType(base, z))))
+    gen = Generator(CUP, (), (WireType(base, z + 1), WireType(base, z)))
+    return _typed(_one_node(gen), gen.cod)
 
 
 def cap(base: str, z: int = 0) -> Diagram:
     """A cap effect ``[b^z, b^(z+1)] -> []``, oriented as for :func:`cup`."""
-    return _one_node(Generator(CAP, (WireType(base, z),
-                                     WireType(base, z + 1)), ()))
+    gen = Generator(CAP, (WireType(base, z), WireType(base, z + 1)), ())
+    return _typed(_one_node(gen), gen.dom)
 
 
 def swap(u: WireType, v: WireType) -> Diagram:
@@ -247,7 +258,8 @@ def spider(base: str, n_in: int, m_out: int) -> Diagram:
     if n_in + m_out < 1:
         raise ZeroArity("a spider needs at least one leg")
     t = WireType(base)
-    return _one_node(Generator(SPIDER, (t,) * n_in, (t,) * m_out))
+    return _typed(_one_node(Generator(SPIDER, (t,) * n_in, (t,) * m_out)),
+                  (t,))
 
 
 def permutation(types: TypeList, perm: list[int]) -> Diagram:
@@ -345,9 +357,10 @@ def _check(d: Diagram) -> tuple[tuple[Generator, ...], tuple[Wire, ...]]:
     in port order.  Else raise ``InvalidDiagram`` naming every violation,
     each as ``kind: detail``, joined by ``; `` in this order:
 
-    * ``BadField``: a type is not a ``WireType``, or a node's ``name`` is
-      not a string or its ``payload`` neither ``None`` nor a string (then
-      nothing else is checked);
+    * ``BadField``: a type is not a ``WireType`` of a string base and an
+      integer order, or a node's ``name`` is not a string or its
+      ``payload`` neither ``None`` nor a string (then nothing else is
+      checked);
     * ``BadNode``: a node's kind is unknown, or its types do not fit it;
     * ``BadWire``: a wire is not four integers (then the wiring is not
       checked further);
@@ -365,7 +378,7 @@ def _check(d: Diagram) -> tuple[tuple[Generator, ...], tuple[Wire, ...]]:
              for gen in d.nodes]
     # in bulk, as the JSON loader checks its edges, so valid fields and
     # wires cost a few set comprehensions; every later check reads types
-    if {type(t) for g in (d, *nodes) for t in g.dom + g.cod} - {WireType} \
+    if not _wire_types([t for g in (d, *nodes) for t in g.dom + g.cod]) \
             or {type(g.name) for g in nodes} - {str} \
             or {type(g.payload) for g in nodes} - {str, type(None)}:
         raise InvalidDiagram("; ".join(_bad_fields(d, nodes)))
@@ -446,14 +459,15 @@ def _check(d: Diagram) -> tuple[tuple[Generator, ...], tuple[Wire, ...]]:
 
 
 def _bad_fields(d: Diagram, nodes: list[Generator]) -> list[str]:
-    """A ``BadField`` violation for each type that is not a ``WireType``,
-    and each node ``name`` or ``payload`` that is not a string."""
+    """A ``BadField`` violation for each type that is not a ``WireType``
+    of a string base and an integer order, and each node ``name`` or
+    ``payload`` that is not a string."""
     found = []
     for i, g in enumerate((d, *nodes), -1):  # the diagram's own types first
         where = f"node {i} " if i >= 0 else ""
-        found += [f"BadField: {where}field {key!r} holds {t!r}, not a WireType"
+        found += [f"BadField: {where}field {key!r} holds {t!r}, {why}"
                   for key in ("dom", "cod") for t in getattr(g, key)
-                  if type(t) is not WireType]
+                  for why in [_not_a_wire_type(t)] if why]
         if i >= 0 and type(g.name) is not str:
             found.append(f"BadField: {where}field 'name' holds {g.name!r}, "
                          "not a string")
@@ -461,6 +475,17 @@ def _bad_fields(d: Diagram, nodes: list[Generator]) -> list[str]:
             found.append(f"BadField: {where}field 'payload' holds "
                          f"{g.payload!r}, not a string or None")
     return found
+
+
+def _not_a_wire_type(t: object) -> str:
+    """Why *t* is not a wire type, or ``""`` if it is one."""
+    if type(t) is not WireType:
+        return "not a WireType"
+    if not isinstance(t.base, str):
+        return f"whose base {t.base!r} is not a string"
+    if type(t.z) is not int:
+        return f"whose order {t.z!r} is not an integer"
+    return ""
 
 
 # -- canonical ordering --------------------------------------------------

@@ -11,8 +11,11 @@ cancels ``(-1)^z + (-1)^(z+1) = 0`` of its base's charge, the sum of
 charge per base equals the target's can reduce to it (count invariance,
 van Benthem, *Language in Action*); the others are skipped unparsed.
 For the rest, one right-to-left pass fills two bitset tables, which
-spans cancel fully and which suffixes reduce to which target suffixes,
-and witnesses are enumerated only through the cells they mark viable.
+spans cancel fully and which suffixes reduce to which target suffixes
+(Preller, "Linear processing with pregroups", 2007).  Witnesses are
+built only through the chart cells they mark viable, all of one kind,
+"a span reduces to a target suffix", and in sorted order, so no sort
+follows.
 
 :func:`grammar_diagram` turns a witness into one port graph: word
 states side by side, one cap per link.  Structural entries ("does",
@@ -134,25 +137,19 @@ def parse(lexicon: PregroupLexicon, words: list[str],
             owed = [o + c for o, c in zip(owed, _charge(es[0].type, bases))]
         else:
             choices.append((pos, [_charge(e.type, bases) for e in es]))
+    words = tuple(words)
     witnesses: list[ParseWitness] = []
     for combo in islice(product(*(range(len(es)) for es in entries)),
                         max_combinations):
         if any(map(sum, zip(owed, *(charges[combo[pos]]
                                     for pos, charges in choices)))):
             continue  # its charge differs from the target's in some base
-        flat: list[WireType] = []
-        for pos, k in enumerate(combo):
-            flat.extend(entries[pos][k].type)
-        for links in _reductions(tuple(flat), target):
+        flat = tuple(t for pos, k in enumerate(combo)
+                     for t in entries[pos][k].type)
+        for links in _reductions(flat, target):
             linked = {i for link in links for i in link}
             residual = tuple(i for i in range(len(flat)) if i not in linked)
-            witnesses.append(ParseWitness(
-                words=tuple(words),
-                entry_indices=tuple(combo),
-                flat=tuple(flat),
-                links=frozenset(links),
-                residual=residual,
-            ))
+            witnesses.append(ParseWitness(words, combo, flat, links, residual))
     return witnesses
 
 
@@ -165,14 +162,16 @@ def _charge(types: TypeList, bases: list[str]) -> tuple[int, ...]:
 
 
 def _reductions(flat: TypeList, target: TypeList) -> list[frozenset]:
-    """All link sets reducing *flat* to exactly *target*, sorted.
+    """All link sets reducing *flat* to exactly *target*, in the order of
+    their sorted links.
 
     Bitsets are Python ints.  ``empty[i]`` has bit ``j`` when the span
     ``[i, j)`` cancels fully, and ``reach[p]`` has bit ``t`` when
     ``[p, n)`` reduces to ``target[t:]``.  A link from ``i`` closes at a
     ``k`` of ``empty[i + 1]`` whose type is ``flat[i].l``, so both tables
     fill in one right-to-left pass.  Link sets are then built only
-    through the cells the tables mark viable.
+    through the cells the tables mark viable, each as a sorted tuple and
+    in that order, so none is sorted afterwards.
     """
     n, m = len(flat), len(target)
     at = _indices(flat)
@@ -192,32 +191,28 @@ def _reductions(flat: TypeList, target: TypeList) -> list[frozenset]:
         return []
 
     def ways(cell) -> list[tuple[tuple, tuple]]:
-        """Each ``(links, cells)`` that builds a link set of *cell*: the
-        links plus one link set of each of the cells.  A cell ``("tail",
-        p, t)`` holds the link sets reducing ``[p, n)`` to ``target[t:]``,
-        given ``t`` in ``reach[p]``; a cell ``("cancel", i, j)`` those
-        cancelling ``[i, j)`` fully, given ``j`` in ``empty[i]``."""
-        kind, i, j = cell
-        if kind == "cancel":
-            if i == j:
-                return [((), ())]
-            return [(((i, k),), (("cancel", i + 1, k), ("cancel", k + 1, j)))
-                    for k in _bits(empty[i + 1] & closers[i] & ((1 << j) - 1))
-                    if empty[k + 1] >> j & 1]
-        if i == n:
+        """Each ``(links, cells)`` that builds link sets of *cell*: the
+        links, then one link set of each of the cells.  A cell ``(i, j,
+        t)`` holds the link sets reducing ``[i, j)`` to ``target[t:]``,
+        given that it is viable: ``t`` in ``reach[i]`` if ``j == n``, else
+        ``t == m`` and ``j`` in ``empty[i]``.  Its link sets all have the
+        same size, and the options list each link from ``i`` by ascending
+        ``k``, then ``i`` residual, each part right of the ones before it,
+        so the link sets come out sorted."""
+        i, j, t = cell
+        if i == j:
             return [((), ())]
-        out = []
-        if j < m and flat[i] == target[j] and reach[i + 1] >> (j + 1) & 1:
-            out.append(((), (("tail", i + 1, j + 1),)))
-        out += [(((i, k),), (("cancel", i + 1, k), ("tail", k + 1, j)))
-                for k in _bits(empty[i + 1] & closers[i])
-                if reach[k + 1] >> j & 1]
+        out = [(((i, k),), ((i + 1, k, m), (k + 1, j, t)))
+               for k in _bits(empty[i + 1] & closers[i] & ((1 << j) - 1))
+               if (reach[k + 1] >> t if j == n else empty[k + 1] >> j) & 1]
+        if t < m and flat[i] == target[t] and reach[i + 1] >> (t + 1) & 1:
+            out.append(((), ((i + 1, j, t + 1),)))
         return out
 
     # depth-first with an explicit stack, so the span length never meets
     # the recursion limit; a cell is built once all its parts are
-    built: dict[tuple, list[frozenset]] = {}
-    stack = [("tail", 0, 0)]
+    built: dict[tuple, list[tuple]] = {}
+    stack = [(0, n, 0)]
     while stack:
         cell = stack[-1]
         if cell in built:
@@ -229,9 +224,9 @@ def _reductions(flat: TypeList, target: TypeList) -> list[frozenset]:
             stack += missing
             continue
         stack.pop()
-        built[cell] = [frozenset(links).union(*parts) for links, cells in options
+        built[cell] = [sum(parts, links) for links, cells in options
                        for parts in product(*(built[c] for c in cells))]
-    return sorted(built[("tail", 0, 0)], key=sorted)
+    return [frozenset(links) for links in built[(0, n, 0)]]
 
 
 def _indices(types: TypeList) -> dict[WireType, int]:

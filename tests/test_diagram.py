@@ -263,10 +263,36 @@ def _one_box(**fields):
      "BadField: node 0 field 'name' holds 5, not a string"),
     (lambda: dg.make_generator("f", (A,), (A,), payload=3),
      "BadField: node 0 field 'payload' holds 3, not a string or None"),
+    # a WireType of a base that is not a string, or an order that is not
+    # an integer, prints and serializes with a TypeError
+    (lambda: dg.cup(5),
+     "BadField: field 'cod' holds WireType(5, 1), whose base 5 is not a "
+     "string; BadField: field 'cod' holds WireType(5), whose base 5 is not "
+     "a string; BadField: node 0 field 'cod' holds WireType(5, 1), whose "
+     "base 5 is not a string; BadField: node 0 field 'cod' holds "
+     "WireType(5), whose base 5 is not a string"),
+    (lambda: dg.spider(None, 1, 1),
+     "BadField: field 'dom' holds WireType(None), whose base None is not a "
+     "string; BadField: field 'cod' holds WireType(None), whose base None "
+     "is not a string; BadField: node 0 field 'dom' holds WireType(None), "
+     "whose base None is not a string; BadField: node 0 field 'cod' holds "
+     "WireType(None), whose base None is not a string"),
+    (lambda: dg.cap("a", 1.5),
+     "BadField: field 'dom' holds WireType('a', 1.5), whose order 1.5 is "
+     "not an integer; BadField: field 'dom' holds WireType('a', 2.5), whose "
+     "order 2.5 is not an integer; BadField: node 0 field 'dom' holds "
+     "WireType('a', 1.5), whose order 1.5 is not an integer; BadField: "
+     "node 0 field 'dom' holds WireType('a', 2.5), whose order 2.5 is not "
+     "an integer"),
+    (lambda: Diagram((WireType(5),), (WireType(5),), (), ((IN, 0, OUT, 0),)),
+     "BadField: field 'dom' holds WireType(5), whose base 5 is not a "
+     "string; BadField: field 'cod' holds WireType(5), whose base 5 is not "
+     "a string"),
 ], ids=["str-types", "str-node-types", "int-name", "int-payload",
         "identity-tuple", "identity-node-str", "swap-str", "permutation-tuple",
         "make-generator-str", "make-generator-int-name",
-        "make-generator-int-payload"])
+        "make-generator-int-payload", "cup-int-base", "spider-none-base",
+        "cap-float-order", "int-base"])
 def test_a_field_of_the_wrong_type_cannot_be_built(make, message):
     with pytest.raises(InvalidDiagram) as built:
         make()

@@ -366,6 +366,34 @@ def test_random_flat_strings_parser_vs_oracle():
     assert found > 150
 
 
+def test_reductions_come_out_sorted_at_bench_lengths():
+    """At the lengths of bench sentences, one in three against another
+    target, the link sets strictly increase in their sorted links: built
+    in that order, and none twice."""
+    rng = np.random.default_rng(41)
+    found = ambiguous = 0
+    for trial in range(90):
+        target = TARGETS[trial % len(TARGETS)]
+        flat = _reducible_flat(rng, target, int(rng.integers(60, 131)))
+        if trial % 3 == 2:
+            target = TARGETS[int(rng.integers(0, len(TARGETS)))]
+        keys = [sorted(links) for links in pregroup._reductions(flat, target)]
+        assert all(a < b for a, b in zip(keys, keys[1:])), (flat, target)
+        found += len(keys)
+        ambiguous += len(keys) > 1
+    assert found > 800 and ambiguous > 30
+
+
+def test_witness_count_of_an_ambiguous_family():
+    """``w`` cancels into its neighbours in many nested ways; the count
+    at six words is the one every earlier chart gave."""
+    lexicon = pregroup.PregroupLexicon(bases={"a": 2, "s": 2}, entries={
+        "w": (pregroup.LexEntry("w", parse_typelist("a.R a a.R a a.L a"),
+                                None, "pure"),),
+        "v": (pregroup.LexEntry("v", parse_typelist("s"), None, "pure"),)})
+    assert len(parse(lexicon, ["w"] * 6 + ["v"])) == 3876
+
+
 ENTRY_TYPES = [parse_typelist(t) for t in (
     "n", "n.L s", "n.L s n.R", "n n.R", "n.R n", "s n.L", "p", "n.L p",
     "s.L s", "s s.R")]

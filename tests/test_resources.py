@@ -5,6 +5,7 @@ from itertools import islice
 
 import pytest
 
+from stringcalc import resources
 from stringcalc.errors import StateExplosion
 from stringcalc.resources import (ConversionWitness, RateResult,
                                   ResourcePresentation, as_multiset,
@@ -141,6 +142,16 @@ def test_rate_honours_max_visited():
     assert conversion_rate("A", "B", DOUBLER, n_max=3, max_visited=4).rate == 2
     with pytest.raises(StateExplosion, match="visited more than 3 states"):
         conversion_rate("A", "B", DOUBLER, n_max=3, max_visited=3)
+
+
+def test_rate_honours_the_count_budget(monkeypatch):
+    # the same four states hold two counts each: 8 fit, 7 do not
+    monkeypatch.setattr(resources, "MAX_COUNTS", 8)
+    assert conversion_rate("A", "B", DOUBLER, n_max=3).rate == 2
+    monkeypatch.setattr(resources, "MAX_COUNTS", 7)
+    with pytest.raises(StateExplosion, match="^visited more than 3 states of "
+                       "2 atoms, past the budget of 7 counts$"):
+        conversion_rate("A", "B", DOUBLER, n_max=3)
 
 
 def test_rate_requires_positive_nmax():

@@ -45,12 +45,20 @@ have no inputs, and links that pass the reduction check join distinct
 outputs of that row, each to its left adjoint, so its caps are a valid
 wiring.  Its word states are built once per lexicon, so the structural
 ones (cups and spiders, built through the check) are checked once each.
+
+A diagram is immutable, so values are shared: a ``Generator`` is the
+named tuple ``(kind, dom, cod, name, payload)`` and equals that plain
+tuple, ``cup`` and ``cap`` build one diagram per ``(base, z)``, a single
+node's wires are built once per arity, and the JSON loader parses each
+distinct type string once per load.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import chain
+from typing import NamedTuple
 
 from .errors import (InvalidDiagram, TypeMismatch, ZeroArity, require,
                      require_strings)
@@ -79,11 +87,12 @@ OUT = -2  # boundary-output pseudo node
 Wire = tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     """A single node: box, cup, cap, swap, spider or explicit identity.
 
     A spider's legs share one base, in any adjoint orders (``n.L n n``).
+    A node is the named tuple ``(kind, dom, cod, name, payload)``: it
+    hashes and compares in C, and equals that plain tuple.
     """
 
     kind: str
@@ -209,8 +218,14 @@ def identity(types: TypeList) -> Diagram:
 def _one_node(gen: Generator) -> Diagram:
     """The diagram of a single node, its ports wired to the boundary in order."""
     return _unchecked(gen.dom, gen.cod, (gen,),
-                      tuple((IN, k, 0, k) for k in range(len(gen.dom)))
-                      + tuple((0, k, OUT, k) for k in range(len(gen.cod))))
+                      _node_wires(len(gen.dom), len(gen.cod)))
+
+
+@lru_cache
+def _node_wires(n_in: int, n_out: int) -> tuple[Wire, ...]:
+    """The wires of a single node of *n_in* inputs and *n_out* outputs."""
+    return (tuple((IN, k, 0, k) for k in range(n_in))
+            + tuple((0, k, OUT, k) for k in range(n_out)))
 
 
 def identity_node(t: WireType) -> Diagram:
@@ -231,19 +246,42 @@ def make_generator(name: str, dom: TypeList, cod: TypeList,
 
 
 def cup(base: str, z: int = 0) -> Diagram:
-    """A cup state ``[] -> [b^(z+1), b^z]``.
+    """A cup state ``[] -> [b^(z+1), b^z]``, built once per ``(base, z)``.
 
     With :func:`cap` on the same ``z``, the snake composed from the two
     type-checks on the wire ``b^z``.
     """
-    gen = Generator(CUP, (), (WireType(base, z + 1), WireType(base, z)))
-    return _typed(_one_node(gen), gen.cod)
+    return _bent(CUP, base, z)
 
 
 def cap(base: str, z: int = 0) -> Diagram:
-    """A cap effect ``[b^z, b^(z+1)] -> []``, oriented as for :func:`cup`."""
-    gen = Generator(CAP, (WireType(base, z), WireType(base, z + 1)), ())
-    return _typed(_one_node(gen), gen.dom)
+    """A cap effect ``[b^z, b^(z+1)] -> []``, oriented as for :func:`cup`
+    and built once per ``(base, z)``."""
+    return _bent(CAP, base, z)
+
+
+def _bent(kind: str, base: str, z: int) -> Diagram:
+    """The cup or cap of *kind* on ``b^z`` and ``b^(z+1)``.  It comes from
+    the memo only if *base* is a ``str`` and *z* an ``int``, tested by
+    class: a list does not hash, and ``True == 1`` would find the cup of
+    order 1.  Else it is built afresh, through the check's ``BadField``
+    (a subclass of ``str`` passes it)."""
+    if type(base) is str and type(z) is int:
+        return _bent_once(kind, base, z)
+    try:
+        z + 1
+    except TypeError:
+        raise InvalidDiagram(f"BadField: the order {z!r} of a {kind} is not "
+                             "an integer") from None
+    return _bent_once.__wrapped__(kind, base, z)
+
+
+@lru_cache
+def _bent_once(kind: str, base: str, z: int) -> Diagram:
+    legs = (WireType(base, z), WireType(base, z + 1))
+    gen = (Generator(CUP, (), legs[::-1]) if kind == CUP
+           else Generator(CAP, legs, ()))
+    return _typed(_one_node(gen), gen.dom + gen.cod)
 
 
 def swap(u: WireType, v: WireType) -> Diagram:
@@ -374,7 +412,7 @@ def _check(d: Diagram) -> tuple[tuple[Generator, ...], tuple[Wire, ...]]:
     * ``Cycle``: the wires between nodes form a directed cycle.
     """
     nodes = [gen if type(gen.dom) is tuple and type(gen.cod) is tuple
-             else replace(gen, dom=tuple(gen.dom), cod=tuple(gen.cod))
+             else gen._replace(dom=tuple(gen.dom), cod=tuple(gen.cod))
              for gen in d.nodes]
     # in bulk, as the JSON loader checks its edges, so valid fields and
     # wires cost a few set comprehensions; every later check reads types
@@ -561,17 +599,18 @@ def _renumber(d: Diagram, order: list[int], wires) -> tuple[tuple, tuple]:
 
 
 def diagram_to_json(d: Diagram) -> dict:
-    """Serialize as a plain dict; `json.dumps` of this round-trips."""
-    bases = sorted({t.base for g in d.nodes for t in g.dom + g.cod}
-                   | {t.base for t in d.dom + d.cod})
+    """Serialize as a plain dict; `json.dumps` of this round-trips.  Each
+    distinct type is printed once."""
+    text = {t: str(t) for t in {t for g in d.nodes for t in g.dom + g.cod}
+            .union(d.dom, d.cod)}
     nodes = []
     for i, g in enumerate(d.nodes):
         entry = {
             "id": i,
             "kind": g.kind,
             "name": g.name,
-            "dom": [str(t) for t in g.dom],
-            "cod": [str(t) for t in g.cod],
+            "dom": [text[t] for t in g.dom],
+            "cod": [text[t] for t in g.cod],
         }
         if g.payload is not None:
             entry["payload"] = g.payload
@@ -579,23 +618,39 @@ def diagram_to_json(d: Diagram) -> dict:
             entry["spider"] = [len(g.dom), len(g.cod)]
         nodes.append(entry)
     return {
-        "types": {b: True for b in bases},
+        "types": {b: True for b in sorted({t.base for t in text})},
         "nodes": nodes,
         "edges": [list(w) for w in sorted(d.wires)],
-        "inputs": [str(t) for t in d.dom],
-        "outputs": [str(t) for t in d.cod],
+        "inputs": [text[t] for t in d.dom],
+        "outputs": [text[t] for t in d.cod],
         "doubled": d.doubled,
     }
 
 
 def diagram_from_json(data: dict) -> Diagram:
-    """Inverse of :func:`diagram_to_json`; validates the result."""
+    """Inverse of :func:`diagram_to_json`; validates the result.
+
+    Each distinct type string is parsed once, and the node fields are
+    tested in bulk.  Only a file that fails a bulk test is read one
+    ``require`` per field, in the order below, so that the error names
+    the first fault in the file, not the first of a set.
+    """
+    parsed: dict[str, WireType] = {}
+
+    def parse(token: str) -> WireType:
+        if token not in parsed:
+            parsed[token] = parse_wiretype(token)
+        return parsed[token]
+
     def types(obj, key: str, where: str, *default) -> TypeList:
-        return tuple(parse_wiretype(t)
-                     for t in require_strings(obj, key, where, *default))
+        return tuple(map(parse, require_strings(obj, key, where, *default)))
 
     entries = require(data, "nodes", list, "diagram", [])
-    ids = [require(e, "id", int, "diagram node") for e in entries]
+    if {type(e) for e in entries} <= {dict} \
+            and {type(e.get("id")) for e in entries} <= {int}:
+        ids = [e["id"] for e in entries]
+    else:
+        ids = [require(e, "id", int, "diagram node") for e in entries]
     if sorted(ids) != list(range(len(ids))):
         raise ValueError("diagram node field 'id' must number the nodes "
                          "0 to n-1, each once")
@@ -604,21 +659,29 @@ def diagram_from_json(data: dict) -> Diagram:
             or {type(x) for w in edges for x in w} - {int}:
         raise ValueError("diagram field 'edges' must list edges of four "
                          "integers")
-    nodes = []
-    for entry in sorted(entries, key=lambda e: e["id"]):
-        # the Diagram constructor checks the name and payload
-        nodes.append(Generator(
-            kind=require(entry, "kind", str, "diagram node"),
-            dom=types(entry, "dom", "diagram node"),
-            cod=types(entry, "cod", "diagram node"),
-            name=entry.get("name", ""),
-            payload=entry.get("payload"),
-        ))
+    entries = sorted(entries, key=lambda e: e["id"])
+    lists = [e.get(key) for e in entries for key in ("dom", "cod")]
+    if {type(e.get("kind")) for e in entries} <= {str} \
+            and {type(x) for x in lists} <= {list} \
+            and set(map(type, chain.from_iterable(lists))) <= {str}:
+        # in order of first use, so that the first bad token raises first
+        for token in dict.fromkeys(chain.from_iterable(lists)):
+            parsed[token] = parse_wiretype(token)
+        get = parsed.__getitem__
+        fields = [(e["kind"], tuple(map(get, e["dom"])),
+                   tuple(map(get, e["cod"]))) for e in entries]
+    else:
+        fields = [(require(e, "kind", str, "diagram node"),
+                   types(e, "dom", "diagram node"),
+                   types(e, "cod", "diagram node")) for e in entries]
+    # the Diagram constructor checks the name and payload
+    nodes = [Generator(*f, e.get("name", ""), e.get("payload"))
+             for f, e in zip(fields, entries)]
     dom = types(data, "inputs", "diagram", [])
     cod = types(data, "outputs", "diagram", [])
     doubled = require(data, "doubled", bool, "diagram", False)
     table = set(require(data, "types", dict, "diagram", {}))
-    if table:
+    if table and not {t.base for t in parsed.values()} <= table:
         for g in nodes:
             check_declared(g.dom + g.cod, table)
         check_declared(dom + cod, table)

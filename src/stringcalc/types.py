@@ -63,7 +63,9 @@ class WireType(NamedTuple):
         return self.base + ".R" * (-self.z)
 
     def __repr__(self) -> str:
-        return f"WireType({self.base!r}, {self.z})" if self.z else f"WireType({self.base!r})"
+        if self.z == 0 and type(self.z) is int:
+            return f"WireType({self.base!r})"
+        return f"WireType({self.base!r}, {self.z!r})"
 
 
 #: An ordered list of wire types; the empty tuple is the monoidal unit.

@@ -188,6 +188,28 @@ def _one_box(fields):
         "edges": [[-1, 0, 0, 0], [0, 0, -2, 0]]}
 
 
+def _chain_of(nodes, **fields):
+    """A diagram of one-in, one-out boxes, each given as ``(id, fields)``,
+    wired from the input through ids 0 to n-1 to the output."""
+    n = len(nodes)
+    edges = [[k - 1 if k else -1, 0, k, 0] for k in range(n)]
+    return {"inputs": ["a"], "outputs": ["a"], **fields,
+            "nodes": [{"id": i, "kind": "box", "name": f"f{i}", **node}
+                      for i, node in nodes],
+            "edges": edges + [[n - 1, 0, -2, 0]]}
+
+
+# several faults in one file; the loader names the first, in the order
+# its docstring gives, whatever the order of a set
+TWO_BAD_TOKENS = _chain_of([(1, {"dom": ["a.X"], "cod": ["a"]}),
+                            (0, {"dom": ["a"], "cod": [".L"]})])
+UNDECLARED_IN_NODES_AND_BOUNDARY = _chain_of(
+    [(k, {"dom": [f"c{k}"], "cod": [f"c{k + 1}"]}) for k in range(8)],
+    types={"a": True}, inputs=["b"], outputs=["b"])
+BAD_ID_AND_KIND = _chain_of([(0, {"kind": 5, "dom": ["a"], "cod": ["a"]}),
+                             ("1", {"dom": ["a"], "cod": ["a"]})])
+
+
 def _snake_with(k, edge):
     """The shipped snake with edge *k* replaced."""
     data = json.loads((DATA / "snake.json").read_text())
@@ -280,6 +302,13 @@ def _snake_with(k, edge):
     # an edge from a node that does not exist, and one to a negative port
     (["normalize"], _snake_with(1, [7, 0, 1, 1]), "BadEndpoint"),
     (["normalize"], _snake_with(2, [0, 1, -2, -2]), "BadEndpoint"),
+    # several faults in one file, each pinned to its whole first message
+    (["normalize"], TWO_BAD_TOKENS,
+     "error: empty base in type token '.L'\n"),
+    (["normalize"], UNDECLARED_IN_NODES_AND_BOUNDARY,
+     "error: base 'c0' is not declared\n"),
+    (["normalize"], BAD_ID_AND_KIND,
+     "error: diagram node field 'id' must be int, got str\n"),
     # a tolerance that is NaN or negative (teleport reads no file)
     (["teleport", "--tol", "nan", "--dim", "2"], None, "tolerance"),
     (["teleport", "--tol", "-1", "--dim", "2"], None, "tolerance"),
@@ -298,7 +327,9 @@ def _snake_with(k, edge):
         "node-payload-not-string", "types-not-object",
         "parse-undeclared-target", "meaning-undeclared-target",
         "rate-negative-max-steps", "edge-node-out-of-range",
-        "edge-negative-port", "tol-nan", "tol-negative", "mixed-word-thin"])
+        "edge-negative-port", "two-bad-tokens",
+        "undeclared-in-nodes-and-boundary", "bad-id-and-kind", "tol-nan",
+        "tol-negative", "mixed-word-thin"])
 def test_malformed_input_exit_2_with_one_error_line(capsys, tmp_path, argv,
                                                     data, named):
     if data is not None:
@@ -309,6 +340,22 @@ def test_malformed_input_exit_2_with_one_error_line(capsys, tmp_path, argv,
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+
+
+def test_the_first_fault_is_named_under_any_string_hash_seed(tmp_path):
+    """Ten undeclared bases, nine in the nodes and one on the boundary,
+    in a process under two string hash seeds: a loader that picked the
+    fault it names in set order would name another base, or a different
+    one under each seed."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(UNDECLARED_IN_NODES_AND_BOUNDARY))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    errs = {subprocess.run(
+        [sys.executable, "-m", "stringcalc.cli", "normalize", str(path)],
+        env=dict(env, PYTHONHASHSEED=seed), capture_output=True,
+        text=True).stderr for seed in ("0", "1")}
+    assert errs == {"error: base 'c0' is not declared\n"}
 
 
 @pytest.mark.parametrize("argv", [["parse", "Alice"], ["normalize"],

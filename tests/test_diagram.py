@@ -288,11 +288,26 @@ def _one_box(**fields):
      "BadField: field 'dom' holds WireType(5), whose base 5 is not a "
      "string; BadField: field 'cod' holds WireType(5), whose base 5 is not "
      "a string"),
+    # cup and cap are built once per (base, z); a key that does not hash,
+    # or that equals a cached one (True == 1), is tested before the memo
+    (lambda: dg.cup(["a"]),
+     "BadField: field 'cod' holds WireType(['a'], 1), whose base ['a'] is "
+     "not a string; BadField: field 'cod' holds WireType(['a']), whose base "
+     "['a'] is not a string; BadField: node 0 field 'cod' holds "
+     "WireType(['a'], 1), whose base ['a'] is not a string; BadField: node "
+     "0 field 'cod' holds WireType(['a']), whose base ['a'] is not a string"),
+    (lambda: (dg.cup("a", 1), dg.cup("a", True)),
+     "BadField: field 'cod' holds WireType('a', True), whose order True is "
+     "not an integer; BadField: node 0 field 'cod' holds WireType('a', "
+     "True), whose order True is not an integer"),
+    (lambda: dg.cap("a", None),
+     "BadField: the order None of a cap is not an integer"),
 ], ids=["str-types", "str-node-types", "int-name", "int-payload",
         "identity-tuple", "identity-node-str", "swap-str", "permutation-tuple",
         "make-generator-str", "make-generator-int-name",
         "make-generator-int-payload", "cup-int-base", "spider-none-base",
-        "cap-float-order", "int-base"])
+        "cap-float-order", "int-base", "cup-list-base", "cup-bool-order",
+        "cap-none-order"])
 def test_a_field_of_the_wrong_type_cannot_be_built(make, message):
     with pytest.raises(InvalidDiagram) as built:
         make()
@@ -413,6 +428,50 @@ def test_json_round_trip_spider_and_cup():
     d = (dg.spider("a", 1, 2) @ dg.cup("b", -1)) >> \
         (identity((A,)) @ dg.swap(A, WireType("b")) @ identity((WireType("b", -1),)))
     assert diagram_from_json(diagram_to_json(d)) == d
+
+
+def test_json_round_trip_of_every_node_kind():
+    """Seeded: boxes with and without payloads, cups, caps, swaps,
+    identities and spiders, plain and doubled, load back equal."""
+    rng = np.random.default_rng(22)
+    kinds, doubled = set(), set()
+    for k in range(200):
+        d = random_diagram(rng, max_width=4)
+        if rng.random() < 0.5:
+            d = d @ dg.make_generator(f"p{k}", random_types(rng, 1),
+                                      random_types(rng, 2), payload=f"w{k}")
+        d = dataclasses.replace(d, doubled=bool(rng.random() < 0.3))
+        kinds.update(g.kind for g in d.nodes)
+        doubled.add(d.doubled)
+        assert diagram_from_json(json.loads(json.dumps(diagram_to_json(d)))) == d
+    assert kinds == {"box", "cup", "cap", "swap", "id", "spider"}
+    assert doubled == {False, True}
+
+
+def test_json_round_trip_of_a_type_shared_by_hundreds_of_nodes():
+    """A 300-yank snake: 600 nodes on two type strings, each parsed once
+    per load, so every node shares its two wire types."""
+    wire = identity((A,))
+    d = wire
+    for _ in range(300):
+        d = d >> ((wire @ dg.cup("a", 0)) >> (dg.cap("a", 0) @ wire))
+    back = diagram_from_json(json.loads(json.dumps(diagram_to_json(d))))
+    assert back == d and len(back.nodes) == 600
+    assert len({id(t) for g in back.nodes for t in g.dom + g.cod}) == 2
+
+
+def test_cup_and_cap_are_built_once_per_base_and_order():
+    assert dg.cup("a", 1) is dg.cup("a", 1) and dg.cap("b") is dg.cap("b", 0)
+    assert dg.cup("a", 1) is not dg.cup("a", 2) is not dg.cap("a", 2)
+    assert dg.cup("a", -1) == Diagram((), (A, A.r), (Generator(
+        "cup", (), (A, A.r)),), ((0, 0, OUT, 0), (0, 1, OUT, 1)))
+
+
+def test_a_node_is_its_tuple():
+    gen = Generator("box", (A,), (B,), "f")
+    assert gen == ("box", (A,), (B,), "f", None)
+    assert hash(gen) == hash(("box", (A,), (B,), "f", None))
+    assert gen._replace(payload="p").payload == "p"
 
 
 def test_wire_order_is_not_observable():

@@ -95,3 +95,12 @@ def test_a_wire_type_is_its_tuple():
         ("m", 0), ("n", 0), ("n", 1)]
     assert (str(n), repr(n), repr(n.r)) == ("n.L", "WireType('n', 1)",
                                              "WireType('n')")
+
+
+@pytest.mark.parametrize("z, text", [
+    (0, "WireType('a')"), (1, "WireType('a', 1)"), (-2, "WireType('a', -2)"),
+    (False, "WireType('a', False)"), (None, "WireType('a', None)"),
+    (0.0, "WireType('a', 0.0)"), ("0", "WireType('a', '0')"),
+], ids=["zero", "one", "minus-two", "false", "none", "float-zero", "str"])
+def test_repr_prints_every_order_but_the_integer_zero(z, text):
+    assert repr(WireType("a", z)) == text

@@ -1,9 +1,8 @@
 """Diagram normalization and equality.
 
-Exactly three rewrite rules are applied, each strictly decreasing the
+Exactly two rewrite rules are applied, each strictly decreasing the
 node count, so normalization always terminates:
 
-* identity elimination -- explicit identity nodes are spliced out;
 * snake elimination -- a cup feeding a cap over a single wire is
   yanked straight, in either chirality;
 * swap involution -- two stacked swaps on the same wire pair cancel.
@@ -12,9 +11,9 @@ Each step takes the redex with the lowest node id and rewires one live
 port map in place: the nodes are unplugged and their freed wire ends
 joined.
 
-Spiders are evaluated, never rewritten.  Equality defaults to the
-syntactic check (compare canonical normal forms); the probabilistic
-semantic check via tensor evaluation is opt-in.
+An identity is a bare wire, not a node, so no rule removes one.  Spiders
+are evaluated, never rewritten.  Equality defaults to the syntactic check
+(canonical normal forms); the semantic one, by tensors, is opt-in.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import heapq
 from dataclasses import dataclass
 
 from . import diagram as dg
-from .diagram import CAP, CUP, IDENTITY, SWAP, Diagram
+from .diagram import CAP, CUP, SWAP, Diagram
 from .errors import ShapeMismatch
 
 __all__ = ["NormalForm", "normalize", "equal"]
@@ -39,9 +38,9 @@ def normalize(d: Diagram) -> NormalForm:
     """Apply the rewrite rules to exhaustion, then renumber canonically.
 
     The rule scheduling is deterministic: each step rewrites the redex
-    whose cup, first swap or identity node has the lowest node id.  The
-    rules have no overlapping redexes, so the result is confluent:
-    normalizing a normal form is a no-op.
+    whose cup or first swap has the lowest node id.  The two rules have
+    no overlapping redexes, so the result is confluent: normalizing a
+    normal form is a no-op.
     """
     nodes: dict[int, dg.Generator] = dict(enumerate(d.nodes))
     # the live port map: an output port to the input port it feeds, and back
@@ -84,8 +83,6 @@ def _redex(i, nodes, nxt, prv):
     """The rule anchored at node *i*: its name, the nodes it removes and
     the wires it joins from the freed ends, or ``None``."""
     kind = _kind(nodes, i)
-    if kind == IDENTITY:
-        return "identity", (i,), [(prv[(i, 0)], nxt[(i, 0)])]
     if kind == CUP:
         # chirality 1: cup output 1 plugged into cap input 0, then
         # chirality 2: cup output 0 plugged into cap input 1
@@ -95,9 +92,8 @@ def _redex(i, nodes, nxt, prv):
                     and nxt[(i, 1 - q)] != (j, 1 - p):
                 return "snake", (i, j), [(prv[(j, 1 - p)], nxt[(i, 1 - q)])]
     if kind == SWAP:
-        j = nxt[(i, 0)][0]
-        if _kind(nodes, j) == SWAP and nxt[(i, 0)] == (j, 0) \
-                and nxt[(i, 1)] == (j, 1):
+        j, p = nxt[(i, 0)]
+        if p == 0 and nxt[(i, 1)] == (j, 1) and _kind(nodes, j) == SWAP:
             return "swap-involution", (i, j), [(prv[(i, 0)], nxt[(j, 0)]),
                                                (prv[(i, 1)], nxt[(j, 1)])]
     return None
@@ -109,14 +105,14 @@ def _kind(nodes, n: int) -> str | None:
 
 
 def equal(d1: Diagram, d2: Diagram, mode: str = "syntactic", *,
-          model=None, seed: int = 0) -> bool:
+          model=None) -> bool:
     """Decide diagram equality.
 
     ``syntactic`` compares canonical normal forms and is exact for the
-    equations generated by yanking, identity and swap cancellation.
-    ``semantic`` evaluates both diagrams under a tensor model (payloads
-    for boxes absent from the model are drawn from a seeded generator
-    shared between the two sides) and compares them to within 1e-9
+    equations generated by yanking and swap cancellation.  ``semantic``
+    evaluates both diagrams under a tensor model (payloads for boxes
+    absent from the model are drawn by ``random_payloads`` at its default
+    seed, shared between the two sides) and compares them to within 1e-9
     times the larger norm or 1, which is sound but probabilistic.
     """
     if (d1.dom, d1.cod) != (d2.dom, d2.cod):
@@ -129,11 +125,8 @@ def equal(d1: Diagram, d2: Diagram, mode: str = "syntactic", *,
 
         if model is None:
             bases = {t.base for d in (d1, d2)
-                     for g in d.nodes for t in g.dom + g.cod}
-            bases |= {t.base for t in d1.dom + d1.cod}
-            model = Model(dims={b: 2 for b in sorted(bases)}, payloads={})
-        model = random_payloads(model, (d1, d2), seed=seed)
-        t1 = evaluate(d1, model)
-        t2 = evaluate(d2, model)
-        return t1.allclose(t2)
+                     for g in (d, *d.nodes) for t in g.dom + g.cod}
+            model = Model(dims={b: 2 for b in sorted(bases)})
+        model = random_payloads(model, (d1, d2))
+        return evaluate(d1, model).allclose(evaluate(d2, model))
     raise ValueError(f"unknown mode {mode!r}")

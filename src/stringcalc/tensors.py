@@ -1,15 +1,15 @@
 """Tensor semantics: diagrams evaluated as complex tensor contractions.
 
 A model assigns a dimension to every base symbol and a payload array to
-every box reference.  A wire is a contraction label: cups, caps,
-identities, swaps and spiders build no array, they only say which wires
-carry the same index.  :func:`evaluate` merges the wires through every
-structural node with a union-find, so each class of wires becomes one
-integer label and only boxes remain as operands.  A label shared by more
-than two operands (a spider joining boxes) is a hyperedge.  A label open
-at several boundary ports gets identity-matrix copies, an open label
-that no box carries gets an all-ones vector, and a class that touches
-no box and no boundary is a closed loop worth its dimension.
+every box reference.  A wire is a contraction label: cups, caps, swaps
+and spiders build no array, they only say which wires carry the same
+index.  :func:`evaluate` merges the wires through every structural node
+with a union-find, so each class of wires becomes one integer label and
+only boxes remain as operands.  A label shared by more than two operands
+(a spider joining boxes) is a hyperedge.  A label open at several
+boundary ports gets identity-matrix copies, an open label that no box
+carries gets an all-ones vector, and a class that touches no box and no
+boundary is a closed loop worth its dimension.
 
 Pairs of operands that share a label are contracted greedily, smallest
 result first, from a heap (the greedy path of opt_einsum, Smith & Gray,
@@ -186,7 +186,7 @@ def evaluate(d: Diagram, model: Model) -> Tensor:
         elif gen.kind == SWAP:
             parent[find(legs[3])] = find(legs[0])
             parent[find(legs[2])] = find(legs[1])
-        else:  # cup, cap, identity or spider
+        else:  # cup, cap or spider
             for k in legs[1:]:
                 parent[find(k)] = find(legs[0])
 

@@ -265,6 +265,11 @@ def _snake_with(k, edge):
     (["normalize"], {"inputs": ["a"], "outputs": ["a"], "nodes": [
         {"id": 0, "kind": "bogus", "dom": ["a"], "cod": ["a"]}],
         "edges": [[-1, 0, 0, 0], [0, 0, -2, 0]]}, "'bogus'"),
+    # an identity is a bare wire, so no node kind is "id"
+    (["normalize"], {"inputs": ["a"], "outputs": ["a"], "nodes": [
+        {"id": 0, "kind": "id", "dom": ["a"], "cod": ["a"]}],
+        "edges": [[-1, 0, 0, 0], [0, 0, -2, 0]]},
+     "error: BadNode: node 0 has unknown kind 'id'\n"),
     (["normalize"], {"inputs": ["a"], "outputs": ["b"], "nodes": [
         {"id": 0, "kind": "cup", "dom": [], "cod": ["b", "b"]},
         {"id": 1, "kind": "cap", "dom": ["a", "b"], "cod": []}],
@@ -273,7 +278,7 @@ def _snake_with(k, edge):
     (["normalize"], {"inputs": ["a"], "outputs": ["a"],
                      "edges": [["x", 0, -2, 0]]}, "'edges'"),
     (["normalize"], {"inputs": ["a"], "outputs": ["a"], "nodes": [
-        {"id": 3, "kind": "id", "dom": ["a"], "cod": ["a"]}],
+        {"id": 3, "kind": "box", "dom": ["a"], "cod": ["a"]}],
         "edges": [[-1, 0, 0, 0], [0, 0, -2, 0]]}, "'id'"),
     (["normalize"], {"inputs": ["a"], "outputs": ["a"],
                      "edges": [[-1, 0, -2, 0]], "doubled": "false"},
@@ -321,9 +326,9 @@ def _snake_with(k, edge):
         "wiretype-not-string", "data-not-number", "dimension-zero",
         "dimension-bool", "data-pair-of-three", "data-numeric-string",
         "data-bool", "rate-undeclared-atom", "node-kind-unknown",
-        "node-shape-misfit", "edge-not-four-ints", "node-id-not-dense",
-        "doubled-not-bool", "data-not-finite", "atom-not-string",
-        "rule-side-not-strings", "node-name-not-string",
+        "node-kind-id", "node-shape-misfit", "edge-not-four-ints",
+        "node-id-not-dense", "doubled-not-bool", "data-not-finite",
+        "atom-not-string", "rule-side-not-strings", "node-name-not-string",
         "node-payload-not-string", "types-not-object",
         "parse-undeclared-target", "meaning-undeclared-target",
         "rate-negative-max-steps", "edge-node-out-of-range",

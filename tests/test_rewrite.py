@@ -6,8 +6,8 @@ import pytest
 from conftest import brute_force_evaluate, random_diagram
 
 from stringcalc import diagram as dg
-from stringcalc.diagram import (CAP, CUP, IDENTITY, IN, OUT, SWAP, Diagram,
-                                Generator, identity, identity_node)
+from stringcalc.diagram import (CAP, CUP, IN, OUT, SWAP, Diagram, Generator,
+                                identity, identity_node)
 from stringcalc.errors import InvalidDiagram, ShapeMismatch
 from stringcalc.rewrite import equal, normalize
 from stringcalc.tensors import Model, Payload, Tensor, evaluate, random_payloads
@@ -47,10 +47,12 @@ def test_double_snake_normalizes_to_identity():
 
 
 def test_identity_node_is_eliminated():
+    """An identity is a wire, not a node, so no rule has one to remove."""
+    assert identity_node(A) == identity((A,))
     f, g = dg.make_generator("f", (), (A,)), dg.make_generator("g", (A,), ())
     nf = normalize(f >> identity_node(A) >> g)
     assert nf.diagram == f >> g
-    assert ("identity", (1,)) in nf.rewrite_trace
+    assert nf.rewrite_trace == ()
 
 
 def test_swap_involution_cancels():
@@ -133,14 +135,14 @@ def test_equal_requires_same_boundary():
 
 
 def test_equal_semantic_agrees_with_syntactic_on_snakes():
-    assert equal(snake_left(), identity((A,)), mode="semantic", seed=3)
+    assert equal(snake_left(), identity((A,)), mode="semantic")
 
 
 def test_equal_semantic_distinguishes_cup_from_product():
     cup = dg.cup("a", 0)
     product = dg.make_generator("w1", (), (A.l,)) \
         @ dg.make_generator("w2", (), (A,))
-    assert not equal(cup, product, mode="semantic", seed=0)
+    assert not equal(cup, product, mode="semantic")
     model = Model(dims={"a": 2}, payloads={
         "box:" + repr(product.nodes[0].signature()):
             Payload(Tensor(np.array([1.0, 0.0]))),
@@ -156,22 +158,25 @@ def test_equal_unknown_mode():
 
 
 def _mixed_redexes():
-    """An identity node inside a snake and one between stacked swaps, so
-    that lower ids become redexes only after higher ones are rewritten."""
+    """A snake on ``a.l`` inside a snake and one on ``b`` between stacked
+    swaps, so that lower ids become redexes only after higher ones are
+    rewritten."""
     nodes = (
-        Generator(SWAP, (A, B), (B, A)),       # 0: cancels 3 once 5 is gone
+        Generator(SWAP, (A, B), (B, A)),       # 0: cancels 3 once 6 is gone
         Generator(CUP, (), (A.l, A)),          # 1: snake with 2 once 4 is gone
         Generator(CAP, (A, A.l), ()),          # 2
         Generator(SWAP, (B, A), (A, B)),       # 3
-        Generator(IDENTITY, (A.l,), (A.l,)),   # 4
-        Generator(IDENTITY, (B,), (B,)),       # 5
-        Generator(CUP, (), (A, A.r)),          # 6: snake of the other chirality
-        Generator(CAP, (A.r, A), ()),          # 7
+        Generator(CUP, (), (A.l.l, A.l)),      # 4: snake on a.l, with 5
+        Generator(CAP, (A.l, A.l.l), ()),      # 5
+        Generator(CUP, (), (B.l, B)),          # 6: snake on b, with 7
+        Generator(CAP, (B, B.l), ()),          # 7
+        Generator(CUP, (), (A, A.r)),          # 8: snake of the other chirality
+        Generator(CAP, (A.r, A), ()),          # 9
     )
-    wires = ((IN, 0, 0, 0), (IN, 1, 0, 1), (0, 0, 5, 0), (5, 0, 3, 0),
-             (0, 1, 3, 1), (3, 0, 2, 0), (1, 0, 4, 0), (4, 0, 2, 1),
-             (1, 1, OUT, 0), (3, 1, OUT, 1),
-             (IN, 2, 7, 1), (6, 1, 7, 0), (6, 0, OUT, 2))
+    wires = ((IN, 0, 0, 0), (IN, 1, 0, 1), (0, 0, 7, 0), (6, 0, 7, 1),
+             (6, 1, 3, 0), (0, 1, 3, 1), (3, 0, 2, 0), (1, 0, 5, 0),
+             (4, 0, 5, 1), (4, 1, 2, 1), (1, 1, OUT, 0), (3, 1, OUT, 1),
+             (IN, 2, 9, 1), (8, 1, 9, 0), (8, 0, OUT, 2))
     return Diagram((A, B, A), (A, B, A), nodes, tuple(sorted(wires)))
 
 
@@ -180,8 +185,8 @@ def test_normalize_takes_the_lowest_redex_first():
     assert dataclasses.replace(d) == d  # rebuilt through the check
     nf = normalize(d)
     assert nf.rewrite_trace == (
-        ("identity", (4,)), ("snake", (1, 2)), ("identity", (5,)),
-        ("swap-involution", (0, 3)), ("snake", (6, 7)))
+        ("snake", (4, 5)), ("snake", (1, 2)), ("snake", (6, 7)),
+        ("swap-involution", (0, 3)), ("snake", (8, 9)))
     assert nf.diagram == identity((A, B, A))
 
 

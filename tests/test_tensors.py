@@ -307,7 +307,7 @@ def test_thick_evaluation_with_mixed_payloads_matches_oracle():
     rng = np.random.default_rng(8)
     dims = {"a": 2, "b": 3}
     both = 0
-    for trial in range(40):
+    for trial in range(80):
         d = random_diagram(rng, max_nodes=4, max_width=3)
         d = (d >> random_morphism(rng, d.cod, random_types(
             rng, int(rng.integers(0, 3))), "m")) @ random_diagram(rng, 2, 2)
